@@ -22,7 +22,7 @@ for t in (1, 2, 3, 5, 10, 25, 50, 100):
     print(f"{t:4d} | {r.n_informed_before:8d} {r.n_senders:7d} "
           f"{r.n_receivers:9d} {r.n_erased:6d} | {total:11d}")
 
-ms = series_measures(trace.states, network.n, cfg.u)
+ms = series_measures(trace.counts)
 print("\npattern measures over the run:")
 for field in ("mu_I", "mu_L", "mu_LR", "mu_S", "var_LR", "var_S"):
     print(f"  {field:<8} {getattr(ms, field):.4f}")

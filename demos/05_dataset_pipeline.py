@@ -46,7 +46,7 @@ stats = graph_stats(aggregate_graph(log))
 print(f"aggregate graph: {stats.edge_count} edges, diameter {stats.diameter}, "
       f"density {stats.density:.4f}, clustering {stats.mean_clustering:.3f}")
 
-ms = dataset_measures(log, u=1.0)
+ms = dataset_measures(log)
 print("\npattern measures over the snapshot series:")
 print(f"  mu_L (mobism)       {ms.mu_L:.4f}")
 print(f"  var_LR (atomism)    {ms.var_LR:.4f}")

@@ -21,7 +21,7 @@ network = generate_ws(WsParams(100, 4, 0.7), seed=42)
 measure_sets = {}
 for label, (g, d) in CASES.items():
     cfg = SimConfig(g=g, d=d, u=1.0, t_max=100, n_0=10, seed=11)
-    measure_sets[label] = series_measures(run_sim(cfg, network).states, network.n, 1.0)
+    measure_sets[label] = series_measures(run_sim(cfg, network).counts)
 
 raw = {label: [getattr(ms, axis) for axis in RADAR_AXES] for label, ms in measure_sets.items()}
 maxima = [max(values[i] for values in raw.values()) for i in range(len(RADAR_AXES))]

@@ -9,7 +9,7 @@ the same measures to real temporal contact and message datasets.
 
 __version__ = "0.1.0"
 
-from .graph import Graph, GraphStats, build_graph, graph_stats, load_graph, save_graph
+from .graph import Graph, GraphStats, graph_stats, load_graph, save_graph
 from .generators import BaParams, WsParams, generate_ba, generate_network, generate_ws
 from .simulation import (
     SimConfig,
@@ -27,10 +27,8 @@ from .measures import (
     DeltaMeasures,
     MeasureSet,
     PolarPoint,
-    aggregate_deltas,
     average_measures,
     delta_measures,
-    delta_measures_sparse,
     load_measures,
     save_measures,
     series_measures,
@@ -58,24 +56,21 @@ from .datasets import (
     dataset_trajectory,
     events_to_trace,
     parse_events,
-    save_dataset_meta,
-    save_dataset_trace_json,
 )
 from .svg import render_phase_svg, render_radar_svg, render_trajectory_svg
 
 __all__ = [
-    "Graph", "GraphStats", "build_graph", "graph_stats", "load_graph", "save_graph",
+    "Graph", "GraphStats", "graph_stats", "load_graph", "save_graph",
     "WsParams", "BaParams", "generate_ws", "generate_ba", "generate_network",
     "SimConfig", "SimTrace", "StepReport", "init_state", "sim_step", "run_sim",
     "round_half_away", "save_trace_csv", "save_trace_sparse_json", "load_trace",
     "DeltaMeasures", "MeasureSet", "PolarPoint", "delta_measures",
-    "delta_measures_sparse", "series_measures", "aggregate_deltas",
-    "average_measures", "trajectory", "save_measures", "load_measures",
+    "series_measures", "average_measures", "trajectory", "save_measures",
+    "load_measures",
     "MeshSpec", "SweepConfig", "PhaseGrid", "PhasePoint", "build_mesh",
     "run_sweep", "classify_phases", "trial_seeds",
     "save_grid_csv", "load_grid_csv", "save_grid_metadata",
     "FormatConfig", "EventLog", "DatasetMeta", "parse_events", "aggregate_graph",
     "events_to_trace", "dataset_measures", "dataset_trajectory",
-    "save_dataset_trace_json", "save_dataset_meta",
     "render_phase_svg", "render_trajectory_svg", "render_radar_svg",
 ]

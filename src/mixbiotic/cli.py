@@ -139,7 +139,7 @@ def cmd_simulate(args) -> int:
         trace = run_sim(sim_cfg, graph)
         if first_trace is None:
             first_trace = trace
-        per_trial.append(series_measures(trace.states, graph.n, args.u))
+        per_trial.append(series_measures(trace.counts))
     measures = average_measures(per_trial)
     if args.out:
         if str(args.out).endswith(".json"):
@@ -191,11 +191,11 @@ def cmd_sweep(args) -> int:
 def cmd_measure(args) -> int:
     fmt = _format_config(args)
     _echo_config("measure", {
-        "events": args.events, "u": args.u, "endpoints": args.endpoints,
+        "events": args.events, "endpoints": args.endpoints,
         "format": vars(fmt).copy(),
     })
     log, _meta = _read(parse_events, args.events, fmt)
-    measures = dataset_measures(log, u=args.u, endpoints=args.endpoints)
+    measures = dataset_measures(log, endpoints=args.endpoints)
     if args.out:
         save_measures(measures, args.out)
     else:
@@ -324,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("measure", help="pattern measures of an event dataset")
     sp.add_argument("--events", required=True)
     _add_format_flags(sp)
-    sp.add_argument("--u", type=float, default=1.0)
     sp.add_argument("--endpoints", choices=("both", "sender", "receiver"), default="both")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_measure)

@@ -12,30 +12,25 @@ canonical sorted order (numeric labels numerically, otherwise
 lexicographically), so row order never affects results.
 
 The information-vector time series assigns one snapshot per distinct
-timestamp, in ascending order: q_i = u * (events at that timestamp
-incident to vertex i). There is no accumulation across timestamps; the
-time axis is distinct-timestamp rank, so recording gaps are single
-transitions. For directed logs both endpoints count by default;
-``endpoints`` selects sender-only or receiver-only counting as a
-sensitivity check.
+timestamp, in ascending order: c_i = events at that timestamp incident
+to vertex i. The snapshots stay integer counts and carry no information
+unit, because every measure is unit-free (see ``measures``). There is no
+accumulation across timestamps; the time axis is distinct-timestamp
+rank, so recording gaps are single transitions. For directed logs both
+endpoints count by default; ``endpoints`` selects sender-only or
+receiver-only counting as a sensitivity check.
 """
 
 from __future__ import annotations
 
 import io
-import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .graph import Graph
-from .measures import (
-    DeltaMeasures,
-    MeasureSet,
-    PolarPoint,
-    aggregate_deltas,
-    delta_measures_sparse,
-)
+from .measures import MeasureSet, PolarPoint, _measure_set, _polar, _transitions
 
 
 @dataclass(frozen=True)
@@ -65,12 +60,7 @@ class DatasetMeta:
     dropped_rows: int
 
     def to_dict(self) -> dict:
-        return {
-            "t_count": self.t_count,
-            "t_max": self.t_max,
-            "vertex_count": self.vertex_count,
-            "dropped_rows": self.dropped_rows,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -179,26 +169,19 @@ def aggregate_graph(log: EventLog) -> Graph:
     return Graph(log.vertex_count, sorted(pairs))
 
 
-def events_to_trace(log: EventLog, u: float = 1.0, endpoints: str = "both") -> Iterator[dict]:
-    """Sparse snapshots {vertex: q} per distinct timestamp, ascending.
+def events_to_trace(log: EventLog, endpoints: str = "both") -> Iterator[dict[int, int]]:
+    """Sparse integer-count snapshots {vertex: c} per distinct timestamp, ascending.
 
-    q counts incidences at that timestamp only; duplicate rows count
-    multiply. Keys are emitted in sorted order so downstream float sums
-    are independent of row order.
+    c counts incidences at that timestamp only; duplicate rows count
+    multiply.
     """
     if endpoints not in ("both", "sender", "receiver"):
         raise ValueError(f"endpoints must be both|sender|receiver, got {endpoints!r}")
-    if u <= 0:
-        raise ValueError(f"information unit must be positive, got {u}")
     current_time = None
     counts: dict[int, int] = {}
-
-    def snapshot():
-        return {i: counts[i] * u for i in sorted(counts)}
-
     for t, i, j in log.events:
         if current_time is not None and t != current_time:
-            yield snapshot()
+            yield counts
             counts = {}
         current_time = t
         if endpoints in ("both", "sender"):
@@ -206,48 +189,46 @@ def events_to_trace(log: EventLog, u: float = 1.0, endpoints: str = "both") -> I
         if endpoints in ("both", "receiver"):
             counts[j] = counts.get(j, 0) + 1
     if current_time is not None:
-        yield snapshot()
+        yield counts
 
 
-def dataset_measures(log: EventLog, u: float = 1.0, endpoints: str = "both") -> MeasureSet:
-    """Pattern measures over the dataset's snapshot series (streamed)."""
+def _count_series(log: EventLog, endpoints: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-snapshot Σc and Σc², and Σc_t·c_{t+1} per transition, as int64."""
+    sums, sqs, dots = [], [], []
+    prev: dict[int, int] = {}
+    for snap in events_to_trace(log, endpoints):
+        values = snap.values()
+        sums.append(sum(values))
+        sqs.append(sum(c * c for c in values))
+        dots.append(sum(c * snap.get(i, 0) for i, c in prev.items()))
+        prev = snap
+    return np.array(sums, np.int64), np.array(sqs, np.int64), np.array(dots[1:], np.int64)
+
+
+def _welford(x: np.ndarray) -> tuple[float, float]:
+    """Mean and unbiased variance folded in time order; dataset output bytes pin its rounding."""
+    mean = m2 = 0.0
+    for k, v in enumerate(x.tolist(), 1):
+        delta = v - mean
+        mean += delta / k
+        m2 += delta * (v - mean)
+    return mean, (m2 / (len(x) - 1) if len(x) > 1 else 0.0)
+
+
+def dataset_measures(log: EventLog, endpoints: str = "both") -> MeasureSet:
+    """Pattern measures over the dataset's snapshot series.
+
+    Works on the integer incidence counts directly: the measures are
+    unit-free (see ``measures``), so no information unit is applied.
+    """
+    sums, sqs, dots = _count_series(log, endpoints)
+    if len(sums) < 2:
+        raise ValueError("series must contain at least one transition")
+    return _measure_set(_transitions(sums, sqs, dots, log.vertex_count), _welford)
+
+
+def dataset_trajectory(log: EventLog, endpoints: str = "both") -> list[PolarPoint]:
+    """Polar trajectory point per snapshot, from its count sums."""
+    sums, sqs, _dots = _count_series(log, endpoints)
     n = log.vertex_count
-
-    def deltas() -> Iterator[DeltaMeasures]:
-        prev = None
-        for snap in events_to_trace(log, u, endpoints):
-            if prev is not None:
-                yield delta_measures_sparse(prev, snap, n, u)
-            prev = snap
-
-    return aggregate_deltas(deltas())
-
-
-def dataset_trajectory(log: EventLog, u: float = 1.0, endpoints: str = "both") -> list[PolarPoint]:
-    """Polar trajectory point per snapshot, computed sparsely."""
-    n = log.vertex_count
-    out = []
-    for snap in events_to_trace(log, u, endpoints):
-        sq = sum(v * v for v in snap.values())
-        if sq == 0:
-            out.append(PolarPoint(0.0, 0.0))
-            continue
-        c = sum(snap.values()) / math.sqrt(sq * n)
-        out.append(PolarPoint(math.sqrt(sq), math.acos(min(max(c, -1.0), 1.0))))
-    return out
-
-
-def save_dataset_trace_json(log: EventLog, path, u: float = 1.0, endpoints: str = "both") -> None:
-    """Sparse trace JSON in the simulation-trace schema (t = timestamp rank)."""
-    rows = []
-    for k, snap in enumerate(events_to_trace(log, u, endpoints)):
-        rows.append({"t": k, "nz": [[i, q] for i, q in snap.items()]})
-    with open(path, "w") as fh:
-        json.dump({"n": log.vertex_count, "u": u, "rows": rows}, fh)
-        fh.write("\n")
-
-
-def save_dataset_meta(meta: DatasetMeta, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(meta.to_dict(), fh)
-        fh.write("\n")
+    return [_polar(float(s), float(sq), n) for s, sq in zip(sums.tolist(), sqs.tolist())]

@@ -16,7 +16,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._neighbors[v])
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self._neighbors[i]
-
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric boolean adjacency matrix (zero diagonal), cached."""
         if self._adj is None:
@@ -87,14 +84,6 @@ class Graph:
     @classmethod
     def from_dict(cls, doc: dict) -> "Graph":
         return cls(doc["n"], [tuple(e) for e in doc["edges"]])
-
-
-def build_graph(vertex_count: int, edges: Sequence[tuple[int, int]]) -> Graph:
-    """Build a simple graph, collapsing duplicate edges; order irrelevant.
-
-    Rejects self-loops and out-of-range vertex indices with a ValueError.
-    """
-    return Graph(vertex_count, edges)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,14 @@ Per transition q(t) -> q(t+1) of an n-dimensional state with unit u:
   rel_change   L_R = ||q_next - q_prev|| / ||q_next||
   cos_sim      S = <q_next, q_prev> / (||q_next|| * ||q_prev||)
 
+The measures are unit-free. Both producers (the simulation and event
+logs) hold q = u * c with integer unit counts c, so u cancels exactly:
+I = |sum(c_next) - sum(c_prev)| / n, L = ||c_next - c_prev|| / sqrt(n),
+and L_R and S do not change when both vectors are scaled. The series
+functions therefore take the counts themselves, and every measure follows
+from three integer series per state: sum(c), sum(c^2) and the dot product
+with the next state.
+
 Zero-vector conventions: S = 0 if either vector is zero; L_R = 0 if
 q_next is zero. Dead series therefore score near zero instead of
 registering perfect similarity.
@@ -28,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,132 +148,78 @@ def delta_measures(q_prev: np.ndarray, q_next: np.ndarray, n: int, u: float) -> 
     return DeltaMeasures(info, euclid, rel, cos)
 
 
-def delta_measures_sparse(prev: dict, next_: dict, n: int, u: float) -> DeltaMeasures:
-    """delta_measures over sparse {index: value} snapshots.
+def _transitions(sums, sqs, dots, n: int) -> tuple[np.ndarray, ...]:
+    """The four per-transition measures (I, L, L_R, S) from count series.
 
-    Matches the dense result up to float summation order; built for
-    dataset traces where n is large and snapshots touch few vertices.
+    ``sums[t]`` and ``sqs[t]`` are Σc and Σc² of state t, ``dots[t]`` is
+    Σc_t·c_{t+1}; all int64, so dist² = Σc²_{t+1} + Σc²_t − 2·dot is exact.
+    Each value equals ``delta_measures(c_t, c_{t+1}, n, 1.0)`` bit for bit.
     """
-    if u <= 0:
-        raise ValueError(f"information unit must be positive, got {u}")
-    sum_prev = sum(prev.values())
-    sum_next = sum(next_.values())
-    sq_prev = sum(v * v for v in prev.values())
-    sq_next = sum(v * v for v in next_.values())
-    dot = sum(v * next_[i] for i, v in prev.items() if i in next_)
-    dist_sq = sum((next_.get(i, 0.0) - v) ** 2 for i, v in prev.items())
-    dist_sq += sum(v * v for i, v in next_.items() if i not in prev)
-    dist = math.sqrt(dist_sq)
-    info = abs(sum_next - sum_prev) / (n * u)
-    euclid = dist / (math.sqrt(n) * u)
-    rel = dist / math.sqrt(sq_next) if sq_next > 0 else 0.0
-    if sq_next > 0 and sq_prev > 0:
-        cos = min(max(dot / math.sqrt(sq_next * sq_prev), 0.0), 1.0)
-    else:
-        cos = 0.0
-    return DeltaMeasures(info, euclid, rel, cos)
-
-
-class _Welford:
-    """Single-pass mean / unbiased-variance accumulator."""
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / (self.count - 1) if self.count > 1 else 0.0
-
-
-def aggregate_deltas(deltas: Iterable[DeltaMeasures]) -> MeasureSet:
-    """Fold per-transition measures into a MeasureSet in one pass."""
-    accs = [_Welford() for _ in range(4)]
-    for dm in deltas:
-        accs[0].add(dm.info_change)
-        accs[1].add(dm.euclid)
-        accs[2].add(dm.rel_change)
-        accs[3].add(dm.cos_sim)
-    if accs[0].count == 0:
-        raise ValueError("series must contain at least one transition")
-    a_i, a_l, a_lr, a_s = accs
-    return MeasureSet.from_moments(
-        a_i.mean, a_i.variance, a_l.mean, a_l.variance,
-        a_lr.mean, a_lr.variance, a_s.mean, a_s.variance,
-        delta_count=a_i.count,
-    )
-
-
-def iter_deltas(trace, n: int, u: float) -> Iterator[DeltaMeasures]:
-    prev = None
-    for state in trace:
-        if prev is not None:
-            yield delta_measures(prev, state, n, u)
-        prev = state
-    if prev is None:
-        raise ValueError("trace is empty")
-
-
-def series_measures(trace, n: int, u: float) -> MeasureSet:
-    """Means, unbiased variances, and composites over a whole trace.
-
-    ``trace`` is any ordered sequence of state vectors (a 2-D array works);
-    it must contain at least two states. Variance over a single transition
-    is 0 by convention.
-    """
-    trace = np.asarray(trace, dtype=np.float64)
-    if trace.ndim != 2 or trace.shape[1] != n:
-        raise ValueError(f"trace must be (steps, {n}); got {trace.shape}")
-    if trace.shape[0] < 2:
-        raise ValueError("trace must contain at least two states")
-    if u <= 0:
-        raise ValueError(f"information unit must be positive, got {u}")
-
-    sums = trace.sum(axis=1)
-    sqs = (trace * trace).sum(axis=1)
-    diffs = trace[1:] - trace[:-1]
-    dists = np.linalg.norm(diffs, axis=1)
-
-    info = np.abs(sums[1:] - sums[:-1]) / (n * u)
-    euclid = dists / (math.sqrt(n) * u)
-    norms_next = np.sqrt(sqs[1:])
-    rel = np.divide(dists, norms_next, out=np.zeros_like(dists), where=sqs[1:] > 0)
-    dots = (trace[1:] * trace[:-1]).sum(axis=1)
-    denom = np.sqrt(sqs[1:] * sqs[:-1])
-    cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+    sq = sqs.astype(np.float64)
+    dist = sqs[1:] + sqs[:-1]
+    dist -= 2 * dots  # in place: few full-length temporaries on long dataset series
+    dist = np.sqrt(dist, dtype=np.float64)
+    info = np.abs(np.diff(sums)) / n
+    euclid = dist / math.sqrt(n)
+    rel = np.divide(dist, np.sqrt(sq[1:]), out=np.zeros_like(dist), where=sq[1:] > 0)
+    denom = np.sqrt(sq[1:] * sq[:-1])
+    cos = np.divide(dots, denom, out=np.zeros_like(dist), where=denom > 0)
     np.clip(cos, 0.0, 1.0, out=cos)
+    return info, euclid, rel, cos
 
-    def stats(x):
-        mu = float(np.mean(x))
-        var = float(np.var(x, ddof=1)) if len(x) > 1 else 0.0
-        return mu, var
 
-    (mu_i, var_i), (mu_l, var_l) = stats(info), stats(euclid)
-    (mu_lr, var_lr), (mu_s, var_s) = stats(rel), stats(cos)
+def _measure_set(transitions, moments) -> MeasureSet:
+    """MeasureSet from the four per-transition arrays and a (mean, var) fold."""
+    (mu_i, var_i), (mu_l, var_l), (mu_lr, var_lr), (mu_s, var_s) = map(moments, transitions)
     return MeasureSet.from_moments(
         mu_i, var_i, mu_l, var_l, mu_lr, var_lr, mu_s, var_s,
-        delta_count=len(info),
+        delta_count=len(transitions[0]),
     )
+
+
+def _mean_var(x: np.ndarray) -> tuple[float, float]:
+    mu = float(np.mean(x))
+    var = float(np.var(x, ddof=1)) if len(x) > 1 else 0.0
+    return mu, var
+
+
+def series_measures(counts) -> MeasureSet:
+    """Means, unbiased variances, and composites over a count history.
+
+    ``counts`` is a (steps, n) array of non-negative integer unit counts,
+    such as ``SimTrace.counts``; it must contain at least two states.
+    Variance over a single transition is 0 by convention.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[0] < 2 or counts.shape[1] < 1:
+        raise ValueError(f"trace must be (steps >= 2, n >= 1); got {counts.shape}")
+    integral = counts.dtype.kind in "biu" or (
+        counts.dtype.kind == "f" and bool(np.all(np.isfinite(counts) & (counts == np.floor(counts))))
+    )
+    if not integral:
+        raise ValueError("trace must hold integer unit counts")
+    counts = counts.astype(np.int64, copy=False)
+    if counts.min() < 0:
+        raise ValueError("trace counts must be non-negative")
+    sums = counts.sum(axis=1)
+    sqs = (counts * counts).sum(axis=1)
+    dots = (counts[1:] * counts[:-1]).sum(axis=1)
+    return _measure_set(_transitions(sums, sqs, dots, counts.shape[1]), _mean_var)
+
+
+def _polar(total: float, sq: float, n: int) -> PolarPoint:
+    """Polar point of a state from its sum Σq, squared norm Σq² and dimension."""
+    if sq == 0.0:
+        return PolarPoint(0.0, 0.0)
+    # sqrt of the product keeps theta exactly 0 for uniform vectors
+    c = total / math.sqrt(sq * n)
+    return PolarPoint(math.sqrt(sq), math.acos(min(max(c, -1.0), 1.0)))
 
 
 def polar_point(q: np.ndarray) -> PolarPoint:
     """Magnitude and declination from the all-ones direction for one state."""
     q = np.asarray(q, dtype=np.float64)
-    sq = float(np.dot(q, q))
-    if sq == 0.0:
-        return PolarPoint(0.0, 0.0)
-    # sqrt of the product keeps theta exactly 0 for uniform vectors
-    c = float(q.sum()) / math.sqrt(sq * len(q))
-    return PolarPoint(math.sqrt(sq), math.acos(min(max(c, -1.0), 1.0)))
+    return _polar(float(q.sum()), float(np.dot(q, q)), len(q))
 
 
 def trajectory(trace) -> list[PolarPoint]:

@@ -205,8 +205,10 @@ def load_trace(path) -> tuple[np.ndarray, float | None]:
             if row["t"] != k:
                 raise ValueError(f"sparse trace rows out of order at index {k}")
             for i, q in row["nz"]:
+                if type(i) is not int or not 0 <= i < n:
+                    raise ValueError(f"sparse trace index {i!r} is not a vertex of 0..{n - 1}")
                 states[k, i] = q
-        return states, float(doc["u"])
+        return _checked(states), float(doc["u"])
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -218,4 +220,10 @@ def load_trace(path) -> tuple[np.ndarray, float | None]:
             if len(row) != n + 1:
                 raise ValueError(f"trace row length {len(row)} != {n + 1}")
             data.append([float(v) for v in row[1:]])
-    return np.asarray(data, dtype=np.float64), None
+    return _checked(np.asarray(data, dtype=np.float64)), None
+
+
+def _checked(states: np.ndarray) -> np.ndarray:
+    if not np.isfinite(states).all() or (states < 0).any():
+        raise ValueError("trace values must be finite and non-negative")
+    return states

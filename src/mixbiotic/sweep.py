@@ -61,9 +61,6 @@ class MeshSpec:
     grid_step: float | None = 0.1
     extra_points: Sequence[tuple[float, float]] | None = None
 
-    def points(self) -> list[tuple[float, float]]:
-        return build_mesh(self)
-
 
 def build_mesh(spec: MeshSpec) -> list[tuple[float, float]]:
     """Deduplicated mesh points, sorted lexicographically."""
@@ -144,7 +141,6 @@ def trial_seeds(base_seed: int, point_index: int, trial_index: int) -> tuple[int
 
 def _point_task(args: tuple[SweepConfig, tuple[float, float], int]) -> MeasureSet:
     cfg, (g, d), point_index = args
-    n = cfg.network.n
     shared = None if cfg.fresh_network else generate_network(cfg.network, cfg.base_seed)
     per_trial = []
     for trial in range(cfg.trials):
@@ -152,7 +148,7 @@ def _point_task(args: tuple[SweepConfig, tuple[float, float], int]) -> MeasureSe
         graph = generate_network(cfg.network, net_seed) if cfg.fresh_network else shared
         sim_cfg = SimConfig(g=g, d=d, u=cfg.u, t_max=cfg.t_max, n_0=cfg.n_0, seed=sim_seed)
         trace = run_sim(sim_cfg, graph)
-        per_trial.append(series_measures(trace.states, n, cfg.u))
+        per_trial.append(series_measures(trace.counts))
     return average_measures(per_trial)
 
 

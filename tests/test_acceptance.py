@@ -16,7 +16,7 @@ import pytest
 from mixbiotic.cli import main as cli_main
 from mixbiotic.datasets import FormatConfig, aggregate_graph, dataset_measures, parse_events
 from mixbiotic.generators import BaParams, WsParams, generate_ba, generate_ws
-from mixbiotic.graph import build_graph, graph_stats
+from mixbiotic.graph import Graph, graph_stats
 from mixbiotic.measures import delta_measures, polar_point, series_measures
 from mixbiotic.simulation import SimConfig, init_state, run_sim, sim_step
 from mixbiotic.sweep import MeshSpec, SweepConfig, build_mesh, run_sweep
@@ -247,7 +247,7 @@ def test_criterion_6_dataset_measure_orderings():
             missing.append(name)
             continue
         log, _meta = loaded
-        measures[name] = dataset_measures(log, u=1.0, endpoints="both")
+        measures[name] = dataset_measures(log, endpoints="both")
     if missing:
         record_acceptance(f"ACCEPTANCE 6 SKIP dataset measure orderings: missing {missing}")
         pytest.skip(f"dataset files not present: {missing}")
@@ -304,7 +304,7 @@ def test_criterion_7_oracles_and_invariants():
             failures.append(f"delta mismatch at {q_prev}->{q_next}")
             break
         series = [q_prev, q_next]
-        ms = series_measures(series, n, 1.0)
+        ms = series_measures(series)
         if abs(ms.mu_I - want[0]) > 1e-12 or abs(ms.mu_S - want[3]) > 1e-12:
             failures.append("series mean mismatch")
             break
@@ -321,7 +321,7 @@ def test_criterion_7_oracles_and_invariants():
     steps = 0
     while steps < 10_000 and not failures:
         n = int(param_rng.integers(2, 10))
-        graph = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+        graph = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                                 if param_rng.random() < 0.5])
         cfg = SimConfig(
             g=float(param_rng.choice([0.0, 0.25, 0.6, 1.0])),

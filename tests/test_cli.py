@@ -170,6 +170,11 @@ class TestMeasure:
              "--endpoints", "receiver", "--out", recv])
         assert json.loads(both.read_text()) != json.loads(recv.read_text())
 
+    def test_unit_flag_removed(self, events_file, tmp_path):
+        # the measures are unit-free, so measure has no --u to set
+        assert run(["measure", "--events", events_file, "--u", "2",
+                    "--out", tmp_path / "ms.json"]) == 1
+
 
 class TestTrajectory:
     def test_polar_csv_and_svg(self, tmp_path):
@@ -192,6 +197,23 @@ class TestTrajectory:
         out = tmp_path / "polar.csv"
         assert run(["trajectory", "--trace", trace, "--out", out]) == 0
         assert len(out.read_text().splitlines()) == 10
+
+    @pytest.mark.parametrize("name, text", [
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[-1, 2.0]]}]}'),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[5, 2.0]]}]}'),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[1.5, 2.0]]}]}'),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[1, -2.0]]}]}'),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[1, Infinity]]}]}'),
+        ("trace.csv", "t,q_0,q_1\n0,1.0,nan\n"),
+        ("trace.csv", "t,q_0,q_1\n0,1.0,-1.0\n"),
+        ("trace.csv", "t,q_0,q_1\n0,inf,1.0\n"),
+    ], ids=["negative-index", "index-past-n", "fractional-index", "negative-q-json",
+            "inf-q-json", "nan-q-csv", "negative-q-csv", "inf-q-csv"])
+    def test_rejects_malformed_trace(self, tmp_path, name, text):
+        trace = tmp_path / name
+        trace.write_text(text)
+        assert run(["trajectory", "--trace", trace, "--out", tmp_path / "polar.csv"]) == 2
+        assert not (tmp_path / "polar.csv").exists()
 
 
 class TestRadar:

@@ -1,5 +1,4 @@
 import io
-import json
 import math
 
 import pytest
@@ -12,10 +11,8 @@ from mixbiotic.datasets import (
     dataset_trajectory,
     events_to_trace,
     parse_events,
-    save_dataset_trace_json,
 )
-from mixbiotic.measures import aggregate_deltas, delta_measures, iter_deltas
-from mixbiotic.simulation import load_trace
+from mixbiotic.measures import series_measures
 
 
 CONTACTS = """\
@@ -108,15 +105,15 @@ class TestAggregateGraph:
 class TestEventsToTrace:
     def test_incidence_counting(self):
         log, _ = parse_text("1 a b\n1 a c\n")
-        snaps = list(events_to_trace(log, u=1.0))
+        snaps = list(events_to_trace(log))
         assert len(snaps) == 1
         idx = {lab: i for i, lab in enumerate(log.labels)}
-        assert snaps[0] == {idx["a"]: 2.0, idx["b"]: 1.0, idx["c"]: 1.0}
+        assert snaps[0] == {idx["a"]: 2, idx["b"]: 1, idx["c"]: 1}
 
     def test_one_event_gives_two_units(self):
         log, _ = parse_text("7 x y\n")
-        snaps = list(events_to_trace(log, u=2.0))
-        assert sorted(snaps[0].values()) == [2.0, 2.0]
+        snaps = list(events_to_trace(log))
+        assert sorted(snaps[0].values()) == [1, 1]
 
     def test_trace_length_equals_distinct_timestamps(self):
         log, meta = parse_text(CONTACTS)
@@ -127,13 +124,13 @@ class TestEventsToTrace:
         per_time = {}
         for t, _, _ in log.events:
             per_time[t] = per_time.get(t, 0) + 1
-        masses = [sum(s.values()) for s in events_to_trace(log, u=1.0)]
+        masses = [sum(s.values()) for s in events_to_trace(log)]
         assert masses == [2 * per_time[t] for t in sorted(per_time)]
 
     def test_duplicate_rows_count_multiply(self):
         log, _ = parse_text("1 a b\n1 a b\n")
         snaps = list(events_to_trace(log))
-        assert sorted(snaps[0].values()) == [2.0, 2.0]
+        assert sorted(snaps[0].values()) == [2, 2]
 
     def test_row_order_within_timestamp_is_irrelevant(self):
         a, _ = parse_text("1 a b\n1 c d\n2 a d\n")
@@ -148,9 +145,9 @@ class TestEventsToTrace:
         both = list(events_to_trace(log, endpoints="both"))[0]
         recv = list(events_to_trace(log, endpoints="receiver"))[0]
         send = list(events_to_trace(log, endpoints="sender"))[0]
-        assert both == {idx["s"]: 1.0, idx["r"]: 1.0}
-        assert recv == {idx["r"]: 1.0}
-        assert send == {idx["s"]: 1.0}
+        assert both == {idx["s"]: 1, idx["r"]: 1}
+        assert recv == {idx["r"]: 1}
+        assert send == {idx["s"]: 1}
         with pytest.raises(ValueError):
             list(events_to_trace(log, endpoints="bogus"))
 
@@ -168,11 +165,11 @@ class TestDatasetMeasures:
         n = log.vertex_count
         dense = []
         for snap in events_to_trace(log):
-            row = [0.0] * n
+            row = [0] * n
             for i, v in snap.items():
                 row[i] = v
             dense.append(row)
-        expected = aggregate_deltas(iter_deltas(dense, n, 1.0))
+        expected = series_measures(dense)
         got = dataset_measures(log)
         for name in ("mu_I", "var_I", "mu_L", "var_L", "mu_LR", "var_LR", "mu_S", "var_S"):
             assert getattr(got, name) == pytest.approx(getattr(expected, name), abs=1e-12)
@@ -185,18 +182,6 @@ class TestDatasetMeasures:
         assert len(points) == 3
         for p, snap in zip(points, events_to_trace(log)):
             assert p.r == pytest.approx(math.sqrt(sum(v * v for v in snap.values())), abs=1e-12)
-
-
-class TestSparseTraceJson:
-    def test_loadable_by_trace_loader(self, tmp_path):
-        log, meta = parse_text(CONTACTS)
-        path = tmp_path / "trace.json"
-        save_dataset_trace_json(log, path)
-        states, u = load_trace(path)
-        assert u == 1.0
-        assert states.shape == (meta.t_max, log.vertex_count)
-        doc = json.loads(path.read_text())
-        assert [row["t"] for row in doc["rows"]] == [0, 1, 2]
 
 
 class TestScale:

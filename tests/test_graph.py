@@ -6,7 +6,6 @@ import pytest
 
 from mixbiotic.graph import (
     Graph,
-    build_graph,
     graph_stats,
     load_graph,
     local_clustering,
@@ -16,7 +15,7 @@ from mixbiotic.graph import (
 
 def random_graph(rng, n, p=0.4):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def floyd_warshall(g):
@@ -37,21 +36,21 @@ def floyd_warshall(g):
 
 class TestBuildGraph:
     def test_triangle(self):
-        g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         assert g.edge_count == 3
 
     def test_duplicates_collapse(self):
-        g = build_graph(3, [(0, 1), (1, 0), (1, 2)])
+        g = Graph(3, [(0, 1), (1, 0), (1, 2)])
         assert g.edge_count == 2
         assert g.edges == ((0, 1), (1, 2))
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
-            build_graph(4, [(0, 0)])
+            Graph(4, [(0, 0)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            build_graph(3, [(0, 3)])
+            Graph(3, [(0, 3)])
 
     def test_adjacency_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(3)
@@ -63,7 +62,7 @@ class TestBuildGraph:
 
 class TestGraphStats:
     def test_complete_triangle(self):
-        st = graph_stats(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
+        st = graph_stats(Graph(3, [(0, 1), (1, 2), (0, 2)]))
         assert st.diameter == 1
         assert st.mean_distance == 1.0
         assert st.density == 1.0
@@ -71,24 +70,24 @@ class TestGraphStats:
 
     def test_path_graph(self):
         # distances: (0,1)=1, (1,2)=1, (0,2)=2 -> mean 4/3
-        st = graph_stats(build_graph(3, [(0, 1), (1, 2)]))
+        st = graph_stats(Graph(3, [(0, 1), (1, 2)]))
         assert st.diameter == 2
         assert st.mean_distance == pytest.approx(4 / 3, abs=1e-15)
         assert st.density == pytest.approx(2 / 3, abs=1e-15)
         assert st.mean_clustering == 0.0
 
     def test_disconnected_reports_infinity(self):
-        st = graph_stats(build_graph(4, [(0, 1), (2, 3)]))
+        st = graph_stats(Graph(4, [(0, 1), (2, 3)]))
         assert math.isinf(st.diameter)
         assert math.isinf(st.mean_distance)
 
     def test_single_vertex_conventions(self):
-        st = graph_stats(build_graph(1, []))
-        assert st == graph_stats(build_graph(1, []))
+        st = graph_stats(Graph(1, []))
+        assert st == graph_stats(Graph(1, []))
         assert (st.diameter, st.mean_distance, st.density, st.mean_clustering) == (0, 0, 0, 0)
 
     def test_degree_below_two_contributes_zero(self):
-        g = build_graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+        g = Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
         assert local_clustering(g, 3) == 0.0
         # vertex 0 has neighbors {1,2,3}; only (1,2) linked -> 1/3
         assert local_clustering(g, 0) == pytest.approx(1 / 3)
@@ -126,19 +125,19 @@ class TestGraphStats:
                 assert st.mean_distance == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic(self):
-        g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
         assert graph_stats(g) == graph_stats(g)
 
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        g = build_graph(5, [(4, 0), (1, 3), (2, 1)])
+        g = Graph(5, [(4, 0), (1, 3), (2, 1)])
         path = tmp_path / "g.json"
         save_graph(g, path)
         assert load_graph(path) == g
 
     def test_edges_stored_small_first(self, tmp_path):
-        g = build_graph(3, [(2, 0)])
+        g = Graph(3, [(2, 0)])
         path = tmp_path / "g.json"
         save_graph(g, path)
         doc = json.loads(path.read_text())

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from mixbiotic.datasets import _welford
 from mixbiotic.measures import (
     MeasureSet,
-    aggregate_deltas,
+    _measure_set,
+    _transitions,
     average_measures,
     delta_measures,
-    delta_measures_sparse,
-    iter_deltas,
     load_measures,
     polar_point,
     save_measures,
@@ -58,6 +58,11 @@ def random_state(rng, n):
     return [float(rng.integers(0, 4)) for _ in range(n)]
 
 
+def count_series(states):
+    c = np.asarray(states, dtype=np.int64)
+    return c.sum(axis=1), (c * c).sum(axis=1), (c[1:] * c[:-1]).sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # per-transition measures
 # ---------------------------------------------------------------------------
@@ -101,19 +106,19 @@ class TestDeltaMeasures:
             assert dm.rel_change == pytest.approx(rel, abs=1e-12)
             assert dm.cos_sim == pytest.approx(cos, abs=1e-12)
 
-    def test_sparse_matches_dense(self):
+    def test_kernel_matches_scalar_exactly(self):
+        # the golden output hashes rely on the count kernel reproducing the
+        # scalar float path bit for bit, so this compares with ==
         rng = np.random.default_rng(55)
-        for _ in range(300):
+        for _ in range(1000):
             n = int(rng.integers(1, 12))
-            q_prev, q_next = random_state(rng, n), random_state(rng, n)
-            dense = delta_measures(q_prev, q_next, n, 1.0)
-            sp = delta_measures_sparse(
-                {i: v for i, v in enumerate(q_prev) if v},
-                {i: v for i, v in enumerate(q_next) if v},
-                n, 1.0,
-            )
-            for field in ("info_change", "euclid", "rel_change", "cos_sim"):
-                assert getattr(sp, field) == pytest.approx(getattr(dense, field), abs=1e-12)
+            counts = rng.integers(0, int(rng.choice([2, 4, 50])), size=(int(rng.integers(2, 10)), n))
+            counts[rng.random(len(counts)) < 0.3] = 0  # all-zero rows
+            got = _transitions(*count_series(counts), n)
+            for t in range(len(counts) - 1):
+                want = delta_measures(counts[t], counts[t + 1], n, 1.0)
+                assert [float(a[t]) for a in got] == [
+                    want.info_change, want.euclid, want.rel_change, want.cos_sim]
 
     def test_symmetry_and_relative_asymmetry(self):
         q_a, q_b = [1, 0, 2, 0], [1, 1, 2, 0]
@@ -154,7 +159,7 @@ class TestDeltaMeasures:
 class TestSeriesMeasures:
     def test_worked_example(self):
         trace = [(1, 0, 2, 0), (1, 1, 2, 0), (1, 1, 2, 0)]
-        ms = series_measures(trace, 4, 1.0)
+        ms = series_measures(trace)
         assert ms.delta_count == 2
         assert ms.mu_I == pytest.approx(0.125, abs=1e-12)
         assert ms.var_I == pytest.approx(0.03125, abs=1e-12)
@@ -168,25 +173,36 @@ class TestSeriesMeasures:
         assert ms.m_mix == pytest.approx(0.0036303780, abs=1e-9)
 
     def test_constant_trace(self):
-        ms = series_measures([(1, 2), (1, 2), (1, 2), (1, 2)], 2, 1.0)
+        ms = series_measures([(1, 2), (1, 2), (1, 2), (1, 2)])
         assert ms.mu_S == 1.0
         assert ms.mu_L == ms.m_mob == 0.0
         assert ms.var_I == ms.var_L == ms.var_LR == ms.var_S == 0.0
         assert ms.m_mix == ms.m_atom == 0.0
 
     def test_single_transition_variance_is_zero(self):
-        ms = series_measures([(1, 0), (1, 1)], 2, 1.0)
+        ms = series_measures([(1, 0), (1, 1)])
         assert ms.delta_count == 1
         assert ms.var_I == ms.var_L == ms.var_LR == ms.var_S == 0.0
 
     def test_rejects_short_trace(self):
         with pytest.raises(ValueError):
-            series_measures([(1, 0)], 2, 1.0)
+            series_measures([(1, 0)])
+
+    @pytest.mark.parametrize("trace", [
+        [(1, 0), (-1, 1)],
+        [(1, 0), (0.5, 1)],
+        [(1, 0), (float("nan"), 1)],
+        [(1, 0), (float("inf"), 1)],
+        [("1", "0"), ("0", "1")],
+    ])
+    def test_rejects_negative_or_non_integer_counts(self, trace):
+        with pytest.raises(ValueError):
+            series_measures(trace)
 
     def test_composites_exact(self):
         rng = np.random.default_rng(5)
         states = [random_state(rng, 5) for _ in range(20)]
-        ms = series_measures(states, 5, 1.0)
+        ms = series_measures(states)
         assert ms.m_atom == ms.var_LR
         assert ms.m_mob == ms.mu_L
         assert ms.m_mix == ms.mu_S * ms.var_S
@@ -197,7 +213,7 @@ class TestSeriesMeasures:
             n = int(rng.integers(1, 6))
             length = int(rng.integers(2, 8))
             states = [random_state(rng, n) for _ in range(length)]
-            ms = series_measures(states, n, 1.0)
+            ms = series_measures(states)
             expected = oracle_series(states, n, 1.0)
             got = [ms.mu_I, ms.var_I, ms.mu_L, ms.var_L, ms.mu_LR, ms.var_LR, ms.mu_S, ms.var_S]
             for have, want in zip(got, expected):
@@ -208,8 +224,8 @@ class TestSeriesMeasures:
         for _ in range(50):
             n = int(rng.integers(1, 8))
             states = [random_state(rng, n) for _ in range(int(rng.integers(2, 40)))]
-            whole = series_measures(states, n, 1.0)
-            streamed = aggregate_deltas(iter_deltas(states, n, 1.0))
+            whole = series_measures(states)
+            streamed = _measure_set(_transitions(*count_series(states), n), _welford)
             for name in ("mu_I", "var_I", "mu_L", "var_L", "mu_LR", "var_LR", "mu_S", "var_S"):
                 assert getattr(streamed, name) == pytest.approx(getattr(whole, name), abs=1e-9)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixbiotic.graph import build_graph
+from mixbiotic.graph import Graph
 from mixbiotic.generators import WsParams, generate_ws
 from mixbiotic.simulation import (
     SimConfig,
@@ -18,7 +18,7 @@ from mixbiotic.simulation import (
 )
 
 
-PATH3 = build_graph(3, [(0, 1), (1, 2)])
+PATH3 = Graph(3, [(0, 1), (1, 2)])
 
 
 def rng_of(seed=0):
@@ -97,7 +97,7 @@ class TestSimStep:
 
     def test_accumulates_across_senders(self):
         # both ends of a path send to the middle: it gains two units
-        star = build_graph(3, [(0, 1), (2, 1)])
+        star = Graph(3, [(0, 1), (2, 1)])
         cfg = SimConfig(g=1.0, d=0.0)
         counts, _ = sim_step(np.array([1, 0, 1]), star, cfg, rng_of(0))
         assert counts.tolist() == [1, 2, 1]
@@ -150,7 +150,7 @@ class TestInvariants:
             n = int(param_rng.integers(2, 12))
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if param_rng.random() < 0.4]
-            graph = build_graph(n, edges)
+            graph = Graph(n, edges)
             g = float(param_rng.choice([0.0, 0.3, 0.7, 1.0]))
             d = float(param_rng.choice([0.0, 0.4, 1.0]))
             u = float(param_rng.choice([0.5, 1.0]))
