@@ -9,7 +9,9 @@ the seed alone.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -122,20 +124,20 @@ def generate_ba(params: BaParams, seed: int) -> Graph:
     n, n_a, k = params.n, params.n_a, params.k
     rng = np.random.default_rng(_seed_to_uint64(seed))
     edges = [(i, j) for i in range(n_a) for j in range(i + 1, n_a)]
-    degree = np.zeros(n, dtype=np.int64)
-    degree[:n_a] = n_a - 1
+    degree = [n_a - 1] * n_a + [0] * (n - n_a)
     for v in range(n_a, n):
-        weights = degree[:v].astype(np.float64)
+        weights = degree[:v]
         targets = []
         for _ in range(k):
-            total = weights.sum()
-            cum = np.cumsum(weights)
-            r = rng.random() * total
-            t = int(np.searchsorted(cum, r, side="right"))
+            # integer partial sums: exact, so the float draw compares as it
+            # would against float64 cumulative weights
+            cum = list(accumulate(weights))
+            r = rng.random() * cum[-1]
+            t = bisect_right(cum, r)
             if t >= v:  # guard against r landing exactly on the total
                 t = v - 1
             targets.append(t)
-            weights[t] = 0.0
+            weights[t] = 0
         for t in targets:
             edges.append((t, v))
             degree[t] += 1

@@ -1,9 +1,9 @@
 """Undirected simple graphs and whole-graph statistics.
 
 Graphs are immutable: a vertex count plus a deduplicated set of unordered
-edges (i, j) with i < j. Adjacency is exposed both as neighbor sets (for
-BFS and clustering) and as a cached dense boolean matrix (for vectorized
-simulation steps).
+edges (i, j) with i < j; the count and every endpoint must be ``int``.
+Adjacency is exposed both as neighbor sets (for BFS and clustering) and
+as cached CSR arrays (for vectorized simulation steps).
 
 Serialization format (JSON)::
 
@@ -24,13 +24,18 @@ import numpy as np
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_neighbors", "_adj")
+    __slots__ = ("n", "edges", "_neighbors", "_csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        # bool is an int subclass, and JSON true would silently be vertex 1
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
         canon = set()
         for i, j in edges:
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"edge ({i!r},{j!r}) endpoints must be integers")
             if i == j:
                 raise ValueError(f"self-loop ({i},{i}) is not allowed")
             if not (0 <= i < n and 0 <= j < n):
@@ -43,7 +48,7 @@ class Graph:
             neighbors[i].add(j)
             neighbors[j].add(i)
         self._neighbors = neighbors
-        self._adj = None
+        self._csr = None
 
     @property
     def edge_count(self) -> int:
@@ -55,15 +60,20 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._neighbors[v])
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense symmetric boolean adjacency matrix (zero diagonal), cached."""
-        if self._adj is None:
-            a = np.zeros((self.n, self.n), dtype=np.uint8)
-            for i, j in self.edges:
-                a[i, j] = 1
-                a[j, i] = 1
-            self._adj = a
-        return self._adj
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached CSR adjacency (indptr, indices), int64.
+
+        The neighbors of v are ``indices[indptr[v]:indptr[v + 1]]``, in no
+        particular order.
+        """
+        if self._csr is None:
+            ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+            src = np.concatenate([ends[:, 0], ends[:, 1]])
+            dst = np.concatenate([ends[:, 1], ends[:, 0]])
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+            self._csr = (indptr, dst[np.argsort(src, kind="stable")])
+        return self._csr
 
     def __eq__(self, other):
         return (
@@ -83,7 +93,12 @@ class Graph:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Graph":
-        return cls(doc["n"], [tuple(e) for e in doc["edges"]])
+        if not isinstance(doc, dict):
+            raise ValueError("graph JSON must be an object with 'n' and 'edges'")
+        edges = doc["edges"]
+        if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise ValueError("graph 'edges' must be a list of [i, j] pairs")
+        return cls(doc["n"], [tuple(e) for e in edges])
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,15 @@ unit size. One step:
 
 Round is round-half-away-from-zero. RNG stream order is part of the
 reproducibility contract: the seed-selection of the initial informed set,
-then per step senders, receivers, erasures. Selections draw k swaps of a
-partial Fisher-Yates shuffle (one ``integers()`` call each); empty
-selections consume nothing.
+then per step senders, receivers, erasures. A selection of k takes the
+k swap indices of a partial Fisher-Yates shuffle from one broadcast
+``integers(np.arange(k), m)`` call, which consumes the stream exactly as
+k scalar ``integers(i, m)`` calls in order would; empty selections
+consume nothing.
+
+Delivery reads the graph's CSR neighbor arrays: the senders' neighbor
+slices are gathered, the entries that fall on a receiver are kept, and
+each such entry adds one unit to that receiver.
 
 Trace serialization: dense CSV with header ``t,q_0,...,q_{n-1}`` or a
 sparse JSON document ``{"n": n, "u": u, "rows": [{"t": k,
@@ -43,19 +49,20 @@ def round_half_away(x: float) -> int:
 def sample_without_replacement(rng: np.random.Generator, population: np.ndarray, k: int) -> np.ndarray:
     """Uniform k-subset of population via partial Fisher-Yates.
 
-    Consumes exactly one ``integers(i, m)`` draw per selected element and
-    nothing when k == 0.
+    Swap i exchanges positions i and j_i with j_i drawn from [i, m). All k
+    draws come from one broadcast ``integers`` call, the same stream as
+    one ``integers(i, m)`` per selected element; nothing is consumed when
+    k == 0.
     """
     m = len(population)
     if k < 0 or k > m:
         raise ValueError(f"cannot draw {k} from population of {m}")
     if k == 0:
         return np.empty(0, dtype=population.dtype)
-    pool = population.copy()
-    for i in range(k):
-        j = int(rng.integers(i, m))
+    pool = population.tolist()
+    for i, j in enumerate(rng.integers(np.arange(k), m).tolist()):
         pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+    return np.array(pool[:k], dtype=population.dtype)
 
 
 @dataclass(frozen=True)
@@ -137,10 +144,17 @@ def sim_step(
     receivers = sample_without_replacement(rng, np.arange(n), n_r)
 
     if n_s and n_r:
-        adj = graph.adjacency_matrix()
         # one unit per adjacent (sender, receiver) pair, accumulated
-        delivered = adj[np.ix_(senders, receivers)].sum(axis=0, dtype=np.int64)
-        counts[receivers] += delivered
+        indptr, indices = graph.csr()
+        starts = indptr[senders]
+        lengths = indptr[senders + 1] - starts
+        # the senders' slices laid end to end: slice s starts at starts[s]
+        # in `indices` and at ends[s] - lengths[s] in the gathered run
+        ends = np.cumsum(lengths)
+        nbrs = indices[np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)]
+        is_receiver = np.zeros(n, dtype=bool)
+        is_receiver[receivers] = True
+        counts += np.bincount(nbrs[is_receiver[nbrs]], minlength=n)
 
     support = np.flatnonzero(counts)
     n_d = round_half_away(cfg.d * len(support))
@@ -164,17 +178,15 @@ def run_sim(cfg: SimConfig, graph: Graph) -> SimTrace:
     return SimTrace(history, cfg.u, reports)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_trace_csv(trace: SimTrace, path) -> None:
-    states = trace.states
+    """Dense CSV of q(t) = counts(t) * u, each value written as ``repr(float)``."""
+    # format each distinct count once; cells look their text up
+    texts = {c: repr(float(c) * trace.u) for c in np.unique(trace.counts).tolist()}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"q_{i}" for i in range(trace.n)])
-        for t, row in enumerate(states):
-            writer.writerow([t] + [_fmt(v) for v in row])
+        for t, row in enumerate(trace.counts):
+            writer.writerow([t] + [texts[c] for c in row.tolist()])
 
 
 def save_trace_sparse_json(trace: SimTrace, path) -> None:

@@ -113,6 +113,20 @@ class TestSimulate:
         assert run(["simulate", "--model", "ws", "--n", "20", "--k", "4", "--p", "0.5",
                     "--g", "1.5", "--d", "0.3", "--out", tmp_path / "t.csv"]) == 3
 
+    @pytest.mark.parametrize("doc", [
+        '{"n": 3, "edges": [[0, 1.5]]}',
+        '{"n": 3.5, "edges": [[0, 1]]}',
+        '{"n": "3", "edges": [[0, 1]]}',
+        '[1, 2]',
+        '{"n": 3, "edges": [[true, 2]]}',
+    ], ids=["float-endpoint", "float-n", "string-n", "not-an-object", "bool-endpoint"])
+    def test_rejects_malformed_graph(self, tmp_path, capsys, doc):
+        graph = tmp_path / "g.json"
+        graph.write_text(doc)
+        assert run(["simulate", "--graph", graph, "--g", "0.5", "--d", "0.3", "--tmax", "3",
+                    "--n0", "1"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_grid_csv_svg_meta(self, tmp_path):

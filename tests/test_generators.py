@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_impl as reference
 from mixbiotic.generators import BaParams, WsParams, generate_ba, generate_ws
 from mixbiotic.graph import graph_stats
 
@@ -60,6 +61,12 @@ class TestBaGenerator:
 
     def test_seed_determinism(self):
         assert generate_ba(BaParams(40, 3, 2), seed=21) == generate_ba(BaParams(40, 3, 2), seed=21)
+
+    @pytest.mark.parametrize("n,n_a,k", [(100, 3, 2), (5, 5, 5), (1, 1, 1), (30, 1, 1), (60, 4, 3)])
+    def test_matches_float_cumsum_reference(self, n, n_a, k):
+        for seed in range(8):
+            params = BaParams(n, n_a, k)
+            assert generate_ba(params, seed) == reference.generate_ba(params, seed)
 
     def test_heavy_tail_over_seeds(self):
         # preferential attachment grows hubs well past the mean degree

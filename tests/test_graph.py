@@ -52,12 +52,22 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, [(0, 3)])
 
-    def test_adjacency_symmetric_zero_diagonal(self):
+    def test_csr_slices_match_neighbors(self):
         rng = np.random.default_rng(3)
-        g = random_graph(rng, 7)
-        a = g.adjacency_matrix()
-        assert (a == a.T).all()
-        assert (np.diag(a) == 0).all()
+        for n in (1, 2, 7, 30):
+            g = random_graph(rng, n)
+            indptr, indices = g.csr()
+            assert indptr[0] == 0 and indptr[-1] == 2 * g.edge_count
+            for v in range(n):
+                assert sorted(indices[indptr[v]:indptr[v + 1]].tolist()) == sorted(g.neighbors(v))
+
+    @pytest.mark.parametrize("n,edges", [
+        (3.0, [(0, 1)]), ("3", [(0, 1)]), (True, []),
+        (3, [(0, 1.5)]), (3, [(True, 2)]), (3, [(np.int64(0), 1)]),
+    ])
+    def test_non_int_vertex_rejected(self, n, edges):
+        with pytest.raises(ValueError, match="integer"):
+            Graph(n, edges)
 
 
 class TestGraphStats:

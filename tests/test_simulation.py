@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import reference_impl as reference
 from mixbiotic.graph import Graph
-from mixbiotic.generators import WsParams, generate_ws
+from mixbiotic.generators import BaParams, WsParams, generate_network, generate_ws
 from mixbiotic.simulation import (
     SimConfig,
     init_state,
@@ -51,6 +52,28 @@ class TestSampling:
     def test_overdraw_rejected(self):
         with pytest.raises(ValueError):
             sample_without_replacement(rng_of(0), np.arange(3), 4)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 1000, 2**32 - 1, 2**32, 2**32 + 1, 2**33])
+    def test_broadcast_draw_is_the_scalar_stream(self, m):
+        # the batched draw's contract: same values and generator state as
+        # one scalar integers(i, m) per i, across the 32/64-bit range split
+        a, b = rng_of(m), rng_of(m)
+        k = min(m, 64)
+        batched = a.integers(np.arange(k), m).tolist()
+        assert batched == [int(b.integers(i, m)) for i in range(k)]
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_matches_scalar_reference(self):
+        pick = rng_of(5)
+        for m in (1, 2, 7, 100, 3000):
+            population = np.sort(pick.choice(10 * m, size=m, replace=False))
+            for k in (0, 1, m // 3, m):
+                a, b = rng_of(m + k), rng_of(m + k)
+                got = sample_without_replacement(a, population, k)
+                want = reference.sample_without_replacement(b, population, k)
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
+                assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestInitState:
@@ -105,6 +128,44 @@ class TestSimStep:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sim_step(np.zeros(4, dtype=np.int64), PATH3, SimConfig(g=0, d=0), rng_of(0))
+
+
+class TestDenseReference:
+    """Batched draws and CSR delivery against scalar draws and a dense matrix."""
+
+    POINTS = [(1.0, 0.0), (0.0, 1.0), (0.4, 0.8), (0.4, 0.3), (0.8, 0.1), (0.8, 0.6), (0.2, 0.1)]
+
+    @pytest.mark.parametrize("params", [WsParams(100, 4, 0.7), BaParams(100, 3, 2)],
+                             ids=["ws", "ba"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_steps_match_exactly(self, params, seed):
+        graph = generate_network(params, seed)
+        adj = reference.adjacency_matrix(graph)
+        for g, d in self.POINTS:
+            cfg = SimConfig(g=g, d=d, t_max=40, seed=100 + seed)
+            a, b = rng_of(cfg.seed), rng_of(cfg.seed)
+            new, old = init_state(cfg, graph.n, a), reference.init_state(cfg, graph.n, b)
+            assert np.array_equal(new, old)
+            for _ in range(cfg.t_max):
+                new, new_report = sim_step(new, graph, cfg, a)
+                old, old_report = reference.sim_step(old, graph, cfg, b, adj)
+                assert np.array_equal(new, old), (g, d)
+                assert new_report == old_report, (g, d)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_run_sim_matches_reference_loop(self):
+        graph = generate_ws(WsParams(100, 4, 0.7), seed=3)
+        cfg = SimConfig(g=0.4, d=0.3, seed=12)
+        rng = rng_of(cfg.seed)
+        counts = reference.init_state(cfg, graph.n, rng)
+        history, reports = [counts], []
+        for _ in range(cfg.t_max):
+            counts, report = reference.sim_step(counts, graph, cfg, rng)
+            history.append(counts)
+            reports.append(report)
+        trace = run_sim(cfg, graph)
+        assert np.array_equal(trace.counts, np.array(history))
+        assert trace.reports == reports
 
 
 class TestRunSim:
@@ -206,6 +267,15 @@ class TestTraceSerialization:
         states, u = load_trace(path)
         assert u == trace.u
         assert np.array_equal(states, trace.states)
+
+    @pytest.mark.parametrize("u", [1.0, 0.5, 0.1, 3.7])
+    def test_csv_bytes_match_per_cell_repr(self, tmp_path, u):
+        g = generate_ws(WsParams(40, 4, 0.5), seed=1)
+        trace = run_sim(SimConfig(g=0.9, d=0.05, u=u, t_max=30, n_0=5, seed=4), g)
+        assert trace.counts.max() > 2
+        save_trace_csv(trace, tmp_path / "new.csv")
+        reference.save_trace_csv(trace, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_rejects_malformed_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
