@@ -2,8 +2,9 @@
 
 Graphs are immutable: a vertex count plus a deduplicated set of unordered
 edges (i, j) with i < j; the count and every endpoint must be ``int``.
-Adjacency is exposed both as neighbor sets (for BFS and clustering) and
-as cached CSR arrays (for vectorized simulation steps).
+Adjacency is exposed both as neighbor sets (for clustering) and as
+cached CSR arrays (for the vectorized simulation step and the
+level-synchronous BFS behind the distance statistics).
 
 Serialization format (JSON)::
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -122,33 +122,6 @@ class GraphStats:
             "mean_clustering": self.mean_clustering,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GraphStats":
-        dec = lambda x: math.inf if x == "inf" else x
-        return cls(
-            vertex_count=doc["vertex_count"],
-            edge_count=doc["edge_count"],
-            diameter=dec(doc["diameter"]),
-            mean_distance=dec(doc["mean_distance"]),
-            density=doc["density"],
-            mean_clustering=doc["mean_clustering"],
-        )
-
-
-def _bfs_distances(g: Graph, source: int) -> list[int]:
-    """Unweighted shortest-path distances from source; -1 for unreachable."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        for w in g._neighbors[v]:
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue.append(w)
-    return dist
-
 
 def local_clustering(g: Graph, v: int) -> float:
     """Fraction of neighbor pairs that are themselves connected.
@@ -175,20 +148,46 @@ def mean_clustering(g: Graph) -> float:
     return sum(local_clustering(g, v) for v in range(g.n)) / g.n
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    dist = _bfs_distances(g, 0)
-    return all(d >= 0 for d in dist)
+_BFS_CELLS = 1 << 20  # sources per BFS block x max(vertices, arcs)
+
+
+def _bfs_block(g: Graph, sources: np.ndarray) -> np.ndarray:
+    """Distances from each source (one row each) to every vertex; -1 where unreachable.
+
+    Level-synchronous: each level expands every row's frontier at once
+    through the CSR arrays.
+    """
+    n = g.n
+    indptr, indices = g.csr()
+    dist = np.full((len(sources), n), -1, dtype=np.int64)
+    flat = dist.reshape(-1)
+    owner = np.empty_like(flat)
+    front = np.arange(len(sources)) * n + sources  # cell = row * n + vertex
+    flat[front] = 0
+    level = 0
+    while front.size:
+        level += 1
+        v = front % n
+        deg = indptr[v + 1] - indptr[v]
+        before = np.cumsum(deg) - deg
+        arc = np.repeat(indptr[v] - before, deg) + np.arange(int(before[-1] + deg[-1]))
+        cells = np.repeat(front - v, deg) + indices[arc]
+        cells = cells[flat[cells] < 0]
+        # one copy of each cell: exactly one of its positions wins the scatter
+        pos = np.arange(len(cells))
+        owner[cells] = pos
+        front = cells[owner[cells] == pos]
+        flat[front] = level
+    return dist
 
 
 def graph_stats(g: Graph) -> GraphStats:
     """Whole-graph statistics: diameter, mean distance, density, clustering.
 
-    Diameter and mean distance are averaged/maximized over all unordered
-    distinct pairs via one BFS per source, and are +inf if and only if the
-    graph is disconnected. A single-vertex graph reports 0 for everything
-    by convention.
+    Diameter and mean distance are maximized/averaged over all unordered
+    distinct pairs, from a BFS per source run a block of sources at a
+    time, and are +inf if and only if the graph is disconnected. A
+    single-vertex graph reports 0 for everything by convention.
     """
     n = g.n
     m = g.edge_count
@@ -196,18 +195,17 @@ def graph_stats(g: Graph) -> GraphStats:
     clustering = mean_clustering(g)
     if n == 1:
         return GraphStats(1, m, 0.0, 0.0, density, clustering)
-    if not is_connected(g):
-        return GraphStats(n, m, math.inf, math.inf, density, clustering)
+    block = max(1, _BFS_CELLS // max(n, 2 * m))
     diameter = 0
     dist_total = 0
-    for src in range(n):
-        dist = _bfs_distances(g, src)
-        # each unordered pair counted once: targets > src
-        for tgt in range(src + 1, n):
-            d = dist[tgt]
-            if d > diameter:
-                diameter = d
-            dist_total += d
+    for lo in range(0, n, block):
+        sources = np.arange(lo, min(lo + block, n))
+        dist = _bfs_block(g, sources)
+        if (dist < 0).any():
+            return GraphStats(n, m, math.inf, math.inf, density, clustering)
+        diameter = max(diameter, int(dist.max()))
+        # each unordered pair counted once: targets > source
+        dist_total += int(np.where(np.arange(n) > sources[:, None], dist, 0).sum())
     pairs = n * (n - 1) // 2
     return GraphStats(n, m, float(diameter), dist_total / pairs, density, clustering)
 

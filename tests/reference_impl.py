@@ -1,4 +1,4 @@
-"""Straightforward loop versions of the simulation and generator hot paths.
+"""Straightforward loop versions of the simulation, generator and event-log hot paths.
 
 These are test-only oracles. The library versions batch the selection
 draws, deliver through CSR arrays, accumulate integer degrees and format
@@ -6,13 +6,22 @@ each distinct count once; these versions draw one scalar ``integers(i, m)``
 per selected element, deliver through a dense adjacency matrix, take float
 cumulative sums per draw and format every cell. Both must consume the same
 PCG64 stream in the same order and give exactly equal results.
+
+The event-log oracles keep events as ``(time, src, dst)`` tuples, count
+snapshots in dicts and run one Python BFS per source. The library versions
+work on int64 columns and a block BFS over CSR arrays; both must give
+exactly equal results.
 """
 
 import csv
+import io
+import math
+from collections import deque
 
 import numpy as np
 
-from mixbiotic.graph import Graph
+from mixbiotic.datasets import DatasetMeta, FormatConfig
+from mixbiotic.graph import Graph, GraphStats, mean_clustering
 from mixbiotic.simulation import StepReport, round_half_away
 
 
@@ -99,3 +108,112 @@ def save_trace_csv(trace, path):
         writer.writerow(["t"] + [f"q_{i}" for i in range(trace.n)])
         for t, row in enumerate(trace.states):
             writer.writerow([t] + [repr(float(v)) for v in row])
+
+
+def _sort_key(token):
+    """Numbers before strings; numbers by their float value, strings lexically.
+
+    Integers of 2**53 or more collapse in ``float``, and labels equal as
+    numbers tie, so feed this oracle neither.
+    """
+    if isinstance(token, (int, float)):
+        return (0, float(token), "")
+    return (1, 0.0, token)
+
+
+def _parse_time(token):
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
+def parse_events(text, fmt=None):
+    """Events as time-sorted ``(time, src, dst)`` tuples, the labels and the meta."""
+    fmt = fmt or FormatConfig()
+    need = max(fmt.time_col, fmt.src_col, fmt.dst_col) + 1
+    rows = []
+    dropped = 0
+    split_comma = {"auto": None, "comma": True, "whitespace": False}[fmt.delimiter]
+    for line in io.StringIO(text):
+        line = line.strip()
+        if not line or line.startswith(fmt.comment_prefixes):
+            continue
+        if split_comma is None:
+            split_comma = "," in line
+        tokens = [t.strip() for t in line.split(",")] if split_comma else line.split()
+        if len(tokens) < need:
+            dropped += 1
+            continue
+        a, b = tokens[fmt.src_col], tokens[fmt.dst_col]
+        if not a or not b or a == b:
+            dropped += 1
+            continue
+        rows.append((_parse_time(tokens[fmt.time_col]), a, b))
+    labels = sorted({lab for _, a, b in rows for lab in (a, b)},
+                    key=lambda s: _sort_key(_parse_time(s)))
+    index = {lab: i for i, lab in enumerate(labels)}
+    rows.sort(key=lambda r: _sort_key(r[0]))
+    events = [(t, index[a], index[b]) for t, a, b in rows]
+    meta = DatasetMeta(len(events), len({e[0] for e in events}), len(labels), dropped)
+    return events, labels, meta
+
+
+def count_series(events, endpoints):
+    """Per-snapshot sums of c and c*c, and sum of c_t*c_{t+1} per transition, by dict loops."""
+    snaps = []
+    current = None
+    for t, i, j in events:
+        if current is None or t != current:
+            snaps.append({})
+        current = t
+        counts = snaps[-1]
+        if endpoints in ("both", "sender"):
+            counts[i] = counts.get(i, 0) + 1
+        if endpoints in ("both", "receiver"):
+            counts[j] = counts.get(j, 0) + 1
+    sums, sqs, dots = [], [], []
+    prev = {}
+    for snap in snaps:
+        sums.append(sum(snap.values()))
+        sqs.append(sum(c * c for c in snap.values()))
+        dots.append(sum(c * snap.get(i, 0) for i, c in prev.items()))
+        prev = snap
+    return np.array(sums, np.int64), np.array(sqs, np.int64), np.array(dots[1:], np.int64)
+
+
+def bfs_distances(g, source):
+    """Unweighted shortest-path distances from source; -1 for unreachable."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors(v):
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def graph_stats(g):
+    """One Python BFS per source over the neighbor sets."""
+    n, m = g.n, g.edge_count
+    density = 2.0 * m / (n * (n - 1)) if n >= 2 else 0.0
+    clustering = mean_clustering(g)
+    if n == 1:
+        return GraphStats(1, m, 0.0, 0.0, density, clustering)
+    if min(bfs_distances(g, 0)) < 0:
+        return GraphStats(n, m, math.inf, math.inf, density, clustering)
+    diameter = 0
+    dist_total = 0
+    for src in range(n):
+        dist = bfs_distances(g, src)
+        for tgt in range(src + 1, n):
+            diameter = max(diameter, dist[tgt])
+            dist_total += dist[tgt]
+    return GraphStats(n, m, float(diameter), dist_total / (n * (n - 1) // 2), density, clustering)

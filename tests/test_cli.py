@@ -184,6 +184,16 @@ class TestMeasure:
              "--endpoints", "receiver", "--out", recv])
         assert json.loads(both.read_text()) != json.loads(recv.read_text())
 
+    def test_non_finite_times_dropped(self, tmp_path):
+        events = tmp_path / "nan.tsv"
+        events.write_text("1 a b\nnan c d\n2 a c\nnan b d\n")
+        ms, stats = tmp_path / "ms.json", tmp_path / "stats.json"
+        assert run(["measure", "--events", events, "--out", ms]) == 0
+        assert json.loads(ms.read_text())["delta_count"] == 1
+        assert run(["stats", "--events", events, "--out", stats]) == 0
+        doc = json.loads(stats.read_text())
+        assert (doc["t_count"], doc["t_max"], doc["dropped_rows"]) == (2, 2, 2)
+
     def test_unit_flag_removed(self, events_file, tmp_path):
         # the measures are unit-free, so measure has no --u to set
         assert run(["measure", "--events", events_file, "--u", "2",

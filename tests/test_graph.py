@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import mixbiotic.graph as graph_module
+import reference_impl as reference
 from mixbiotic.graph import (
     Graph,
     graph_stats,
@@ -133,6 +135,18 @@ class TestGraphStats:
                 assert st.diameter == max(dist[i][j] for i, j in pairs)
                 expected = sum(dist[i][j] for i, j in pairs) / len(pairs)
                 assert st.mean_distance == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("cells", [graph_module._BFS_CELLS, 16])  # one block, or many
+    def test_matches_python_bfs(self, monkeypatch, cells):
+        monkeypatch.setattr(graph_module, "_BFS_CELLS", cells)
+        rng = np.random.default_rng(14)
+        graphs = [Graph(1, []), Graph(2, []), Graph(2, [(0, 1)]), Graph(5, [(0, 1), (2, 3)]),
+                  Graph(40, [(i, i + 1) for i in range(39)])]
+        graphs += [random_graph(rng, int(rng.integers(2, 30)), p) for p in (0.05, 0.15, 0.5) for _ in range(8)]
+        assert any(math.isinf(reference.graph_stats(g).diameter) for g in graphs)
+        assert any(reference.graph_stats(g).diameter > 3 for g in graphs)
+        for g in graphs:
+            assert graph_stats(g) == reference.graph_stats(g)
 
     def test_deterministic(self):
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
