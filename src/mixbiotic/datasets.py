@@ -2,9 +2,9 @@
 
 Input files are plain-text event lists: one row per event with a
 timestamp column and two endpoint columns, whitespace- or
-comma-delimited, with ``#``/``%`` comment lines. This covers
-SocioPatterns-style contact lists (``t i j [meta...]``) and
-network-repository ``.edges`` files.
+comma-delimited. Lines starting with ``#`` or ``%`` are comments; the two
+prefixes are fixed. This covers SocioPatterns-style contact lists (``t i
+j [meta...]``) and network-repository ``.edges`` files.
 
 Rows with too few columns, equal endpoints or a non-finite time (``nan``,
 ``inf``) are dropped and counted, never fatal. Vertex labels are mapped
@@ -18,12 +18,12 @@ distinct-timestamp rank and its two endpoint indices, sorted stably by
 time, so events sharing a timestamp keep their file order. Timestamps
 compare exactly as numbers (integers, then floats), numbers before text.
 
-Whitespace-delimited ASCII input with the default comment prefixes, no
-comma and no control byte other than tab and newline is tokenized in
-vectorised blocks when its role columns are integers: times
-``-?[0-9]{1,18}`` and labels canonical ``0|-?[1-9][0-9]{0,17}``, for which
-integer identity equals text identity. Any other input goes through a
-line-by-line tokenizer with the same rules.
+Whitespace-delimited ASCII input with no comma and no control byte other
+than tab and newline is tokenized in vectorised blocks when its role
+columns are integers: times ``-?[0-9]{1,18}`` and labels canonical
+``0|-?[1-9][0-9]{0,17}``, for which integer identity equals text
+identity. Any other input goes through a line-by-line tokenizer with the
+same rules.
 
 The information-vector time series assigns one snapshot per distinct
 timestamp, in ascending order: c_i = events at that timestamp incident
@@ -40,7 +40,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -54,7 +54,6 @@ _ENDPOINTS = ("both", "sender", "receiver")
 @dataclass(frozen=True)
 class FormatConfig:
     delimiter: str = "auto"  # auto | whitespace | comma
-    comment_prefixes: tuple[str, ...] = _COMMENTS
     time_col: int = 0
     src_col: int = 1
     dst_col: int = 2
@@ -132,14 +131,14 @@ def _label_key(label: str):
 
 
 def _tokenize_general(lines: Iterable[str], fmt: FormatConfig) -> _Columns:
-    """Line-by-line tokenizer for any delimiter, comment prefixes and token text."""
+    """Line-by-line tokenizer for any delimiter and token text."""
     need = max(fmt.time_col, fmt.src_col, fmt.dst_col) + 1
     times, srcs, dsts = [], [], []
     dropped = 0
     split_comma: bool | None = {"auto": None, "comma": True, "whitespace": False}[fmt.delimiter]
     for line in lines:
         line = line.strip()
-        if not line or line.startswith(fmt.comment_prefixes):
+        if not line or line.startswith(_COMMENTS):
             continue
         if split_comma is None:
             split_comma = "," in line
@@ -270,7 +269,7 @@ def parse_events(source, fmt: FormatConfig | None = None) -> tuple[EventLog, Dat
             data = fh.read()
         newline = None  # any newline form, as a text-mode file
     columns = None
-    if fmt.delimiter != "comma" and fmt.comment_prefixes == _COMMENTS:
+    if fmt.delimiter != "comma":
         raw = data.encode("ascii") if isinstance(data, str) and data.isascii() else data
         if isinstance(raw, bytes):
             columns = _tokenize_fast(raw, fmt)
@@ -306,40 +305,14 @@ def aggregate_graph(log: EventLog) -> Graph:
     return Graph(n, zip((keys // n).tolist(), (keys % n).tolist()))
 
 
-def _check_endpoints(endpoints: str) -> None:
-    if endpoints not in _ENDPOINTS:
-        raise ValueError(f"endpoints must be both|sender|receiver, got {endpoints!r}")
-
-
-def events_to_trace(log: EventLog, endpoints: str = "both") -> Iterator[dict[int, int]]:
-    """Sparse integer-count snapshots {vertex: c} per distinct timestamp, ascending.
-
-    c counts incidences at that timestamp only; duplicate rows count
-    multiply.
-    """
-    _check_endpoints(endpoints)
-    current = None
-    counts: dict[int, int] = {}
-    for r, i, j in zip(log.rank.tolist(), log.src.tolist(), log.dst.tolist()):
-        if current is not None and r != current:
-            yield counts
-            counts = {}
-        current = r
-        if endpoints in ("both", "sender"):
-            counts[i] = counts.get(i, 0) + 1
-        if endpoints in ("both", "receiver"):
-            counts[j] = counts.get(j, 0) + 1
-    if current is not None:
-        yield counts
-
-
 def _count_series(log: EventLog, endpoints: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-snapshot Σc and Σc², and Σc_t·c_{t+1} per transition, as int64.
 
     Each counted incidence is keyed rank·n + vertex; the distinct keys come
     sorted by rank, so every snapshot is one segment of them.
     """
-    _check_endpoints(endpoints)
+    if endpoints not in _ENDPOINTS:
+        raise ValueError(f"endpoints must be both|sender|receiver, got {endpoints!r}")
     n = log.vertex_count
     if endpoints == "both":
         rank, vertex = np.concatenate([log.rank, log.rank]), np.concatenate([log.src, log.dst])

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
@@ -73,10 +74,6 @@ class MeasureSet:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "MeasureSet":
-        return cls(**{f.name: doc[f.name] for f in fields(cls)})
-
-    @classmethod
     def from_moments(
         cls,
         mu_I: float, var_I: float,
@@ -101,8 +98,20 @@ def save_measures(ms: MeasureSet, path) -> None:
 
 
 def load_measures(path) -> MeasureSet:
+    """Read a measure-set object. Raises ValueError unless every field is a
+    finite, non-negative ``int`` or ``float`` and ``delta_count`` an ``int``."""
     with open(path) as fh:
-        return MeasureSet.from_dict(json.load(fh))
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("measure set must be a JSON object")
+    for f in fields(MeasureSet):
+        v = doc.get(f.name)
+        kinds = (int,) if f.name == "delta_count" else (int, float)
+        # int/float comparison is exact: it rejects NaN, infinities and ints past the float range
+        if type(v) not in kinds or not 0 <= v <= sys.float_info.max:
+            kind = "integer" if kinds == (int,) else "number"
+            raise ValueError(f"measure set field {f.name} is {v!r}, not a finite non-negative {kind}")
+    return MeasureSet(**{f.name: doc[f.name] for f in fields(MeasureSet)})
 
 
 def average_measures(sets: Sequence[MeasureSet]) -> MeasureSet:

@@ -26,7 +26,9 @@ each such entry adds one unit to that receiver.
 
 Trace serialization: dense CSV with header ``t,q_0,...,q_{n-1}`` or a
 sparse JSON document ``{"n": n, "u": u, "rows": [{"t": k,
-"nz": [[i, q_i], ...]}, ...]}``. Loaders accept both.
+"nz": [[i, q_i], ...]}, ...]}``. Both writers read the integer counts and
+look each value q = float(c) * u up in a table over the distinct counts,
+the same IEEE product as ``counts * u``. Loaders accept both formats.
 """
 
 from __future__ import annotations
@@ -109,11 +111,6 @@ class SimTrace:
     def n(self) -> int:
         return self.counts.shape[1]
 
-    @property
-    def states(self) -> np.ndarray:
-        """Float information vectors q(t) = counts(t) * u, shape (t_max+1, n)."""
-        return self.counts.astype(np.float64) * self.u
-
     def __len__(self) -> int:
         return self.counts.shape[0]
 
@@ -178,10 +175,14 @@ def run_sim(cfg: SimConfig, graph: Graph) -> SimTrace:
     return SimTrace(history, cfg.u, reports)
 
 
+def _unit_values(trace: SimTrace) -> dict[int, float]:
+    """q = float(c) * u for each distinct count c of the trace."""
+    return {c: float(c) * trace.u for c in np.unique(trace.counts).tolist()}
+
+
 def save_trace_csv(trace: SimTrace, path) -> None:
     """Dense CSV of q(t) = counts(t) * u, each value written as ``repr(float)``."""
-    # format each distinct count once; cells look their text up
-    texts = {c: repr(float(c) * trace.u) for c in np.unique(trace.counts).tolist()}
+    texts = {c: repr(q) for c, q in _unit_values(trace).items()}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"q_{i}" for i in range(trace.n)])
@@ -190,14 +191,15 @@ def save_trace_csv(trace: SimTrace, path) -> None:
 
 
 def save_trace_sparse_json(trace: SimTrace, path) -> None:
-    states = trace.states
+    """Sparse JSON of q(t) = counts(t) * u: the nonzero [i, q_i] pairs of each row."""
+    values = _unit_values(trace)
     rows = []
-    for t, row in enumerate(states):
-        nz = [[int(i), float(row[i])] for i in np.flatnonzero(row)]
-        rows.append({"t": t, "nz": nz})
+    for t, row in enumerate(trace.counts):
+        nz = np.flatnonzero(row)
+        pairs = zip(nz.tolist(), row[nz].tolist())
+        rows.append({"t": t, "nz": [[i, values[c]] for i, c in pairs]})
     with open(path, "w") as fh:
-        json.dump({"n": trace.n, "u": trace.u, "rows": rows}, fh)
-        fh.write("\n")
+        fh.write(json.dumps({"n": trace.n, "u": trace.u, "rows": rows}) + "\n")
 
 
 def load_trace(path) -> tuple[np.ndarray, float | None]:

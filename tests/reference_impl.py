@@ -4,8 +4,9 @@ These are test-only oracles. The library versions batch the selection
 draws, deliver through CSR arrays, accumulate integer degrees and format
 each distinct count once; these versions draw one scalar ``integers(i, m)``
 per selected element, deliver through a dense adjacency matrix, take float
-cumulative sums per draw and format every cell. Both must consume the same
-PCG64 stream in the same order and give exactly equal results.
+cumulative sums per draw and format every cell of a float copy of the
+trace. Both must consume the same PCG64 stream in the same order and give
+exactly equal results.
 
 The event-log oracles keep events as ``(time, src, dst)`` tuples, count
 snapshots in dicts and run one Python BFS per source. The library versions
@@ -15,6 +16,7 @@ exactly equal results.
 
 import csv
 import io
+import json
 import math
 from collections import deque
 
@@ -101,13 +103,29 @@ def generate_ba(params, seed):
     return Graph(n, edges)
 
 
+def states(trace):
+    """Float information vectors q(t) = counts(t) * u."""
+    return trace.counts.astype(np.float64) * trace.u
+
+
 def save_trace_csv(trace, path):
     """One ``repr`` per cell over the float states."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"q_{i}" for i in range(trace.n)])
-        for t, row in enumerate(trace.states):
+        for t, row in enumerate(states(trace)):
             writer.writerow([t] + [repr(float(v)) for v in row])
+
+
+def save_trace_sparse_json(trace, path):
+    """One ``float`` per nonzero cell of the float states, through ``json.dump``."""
+    rows = []
+    for t, row in enumerate(states(trace)):
+        nz = [[int(i), float(row[i])] for i in np.flatnonzero(row)]
+        rows.append({"t": t, "nz": nz})
+    with open(path, "w") as fh:
+        json.dump({"n": trace.n, "u": trace.u, "rows": rows}, fh)
+        fh.write("\n")
 
 
 def _sort_key(token):
@@ -141,7 +159,7 @@ def parse_events(text, fmt=None):
     split_comma = {"auto": None, "comma": True, "whitespace": False}[fmt.delimiter]
     for line in io.StringIO(text):
         line = line.strip()
-        if not line or line.startswith(fmt.comment_prefixes):
+        if not line or line.startswith(("#", "%")):
             continue
         if split_comma is None:
             split_comma = "," in line

@@ -1,4 +1,5 @@
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -222,6 +223,16 @@ class TestTrajectory:
         assert run(["trajectory", "--trace", trace, "--out", out]) == 0
         assert len(out.read_text().splitlines()) == 10
 
+    def test_sparse_and_dense_traces_give_equal_polar_csv(self, tmp_path):
+        args = ["simulate", "--model", "ws", "--n", "30", "--k", "4", "--p", "0.5",
+                "--g", "0.7", "--d", "0.1", "--u", "0.1", "--tmax", "15", "--n0", "3",
+                "--seed", "4", "--out"]
+        for ext in ("json", "csv"):
+            assert run(args + [tmp_path / f"t.{ext}"]) == 0
+            assert run(["trajectory", "--trace", tmp_path / f"t.{ext}",
+                        "--out", tmp_path / f"polar_{ext}.csv"]) == 0
+        assert (tmp_path / "polar_json.csv").read_bytes() == (tmp_path / "polar_csv.csv").read_bytes()
+
     @pytest.mark.parametrize("name, text", [
         ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[-1, 2.0]]}]}'),
         ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[5, 2.0]]}]}'),
@@ -279,6 +290,19 @@ class TestRadar:
     def test_label_count_mismatch(self, tmp_path):
         ms = self.make_measures(tmp_path, 1, "a.json")
         assert run(["radar", ms, "--labels", "a,b"]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {**doc, "mu_I": "0.5"},
+        lambda doc: list(doc.values()),
+        lambda doc: {**doc, "mu_I": math.nan, "m_atom": -1.0},
+    ], ids=["string-value", "array", "nan-and-negative"])
+    def test_rejects_malformed_measure_set(self, tmp_path, capsys, edit):
+        ms = self.make_measures(tmp_path, 1, "a.json")
+        ms.write_text(json.dumps(edit(json.loads(ms.read_text()))))
+        out = tmp_path / "radar.csv"
+        assert run(["radar", ms, "--out", out]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsageErrors:

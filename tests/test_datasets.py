@@ -16,7 +16,6 @@ from mixbiotic.datasets import (
     aggregate_graph,
     dataset_measures,
     dataset_trajectory,
-    events_to_trace,
     parse_events,
 )
 from mixbiotic.measures import series_measures
@@ -34,6 +33,22 @@ CONTACTS = """\
 
 def parse_text(text, fmt=None):
     return parse_events(io.StringIO(text), fmt)
+
+
+def snapshot_rows(log):
+    """Dense count rows, both endpoints counted, one per distinct timestamp."""
+    rows = np.zeros((int(log.rank[-1]) + 1, log.vertex_count), np.int64)
+    np.add.at(rows, (log.rank, log.src), 1)
+    np.add.at(rows, (log.rank, log.dst), 1)
+    return rows
+
+
+def assert_series(log, endpoints, rows):
+    """``_count_series`` equals Σc, Σc² and Σc_t·c_{t+1} of the dense rows."""
+    rows = np.asarray(rows, np.int64)
+    expected = (rows.sum(axis=1), (rows * rows).sum(axis=1), (rows[1:] * rows[:-1]).sum(axis=1))
+    for got, want in zip(_count_series(log, endpoints), expected):
+        assert got.tolist() == want.tolist()
 
 
 class TestParseEvents:
@@ -130,73 +145,71 @@ class TestAggregateGraph:
 
 
 class TestEventsToTrace:
+    """The snapshot count series of an event log, as ``_count_series`` computes it."""
+
     def test_incidence_counting(self):
         log, _ = parse_text("1 a b\n1 a c\n")
-        snaps = list(events_to_trace(log))
-        assert len(snaps) == 1
         idx = {lab: i for i, lab in enumerate(log.labels)}
-        assert snaps[0] == {idx["a"]: 2, idx["b"]: 1, idx["c"]: 1}
+        row = [0] * 3
+        row[idx["a"]], row[idx["b"]], row[idx["c"]] = 2, 1, 1
+        assert_series(log, "both", [row])
 
     def test_one_event_gives_two_units(self):
         log, _ = parse_text("7 x y\n")
-        snaps = list(events_to_trace(log))
-        assert sorted(snaps[0].values()) == [1, 1]
+        sums, sqs, dots = _count_series(log, "both")
+        assert (sums.tolist(), sqs.tolist(), dots.tolist()) == ([2], [2], [])
 
     def test_trace_length_equals_distinct_timestamps(self):
         log, meta = parse_text(CONTACTS)
-        assert len(list(events_to_trace(log))) == meta.t_max
+        sums, sqs, dots = _count_series(log, "both")
+        assert len(sums) == len(sqs) == meta.t_max
+        assert len(dots) == meta.t_max - 1
 
     def test_snapshot_mass_conservation(self):
         log, _ = parse_text(CONTACTS)
         per_time = {}
         for t in log.rank.tolist():
             per_time[t] = per_time.get(t, 0) + 1
-        masses = [sum(s.values()) for s in events_to_trace(log)]
-        assert masses == [2 * per_time[t] for t in sorted(per_time)]
+        events = [per_time[t] for t in sorted(per_time)]
+        assert _count_series(log, "both")[0].tolist() == [2 * k for k in events]
+        assert _count_series(log, "sender")[0].tolist() == events
+        assert _count_series(log, "receiver")[0].tolist() == events
 
     def test_duplicate_rows_count_multiply(self):
         log, _ = parse_text("1 a b\n1 a b\n")
-        snaps = list(events_to_trace(log))
-        assert sorted(snaps[0].values()) == [2, 2]
+        assert_series(log, "both", [[2, 2]])
 
     def test_row_order_within_timestamp_is_irrelevant(self):
         a, _ = parse_text("1 a b\n1 c d\n2 a d\n")
         b, _ = parse_text("1 c d\n1 a b\n2 a d\n")
-        assert list(events_to_trace(a)) == list(events_to_trace(b))
+        for endpoints in ("both", "sender", "receiver"):
+            for x, y in zip(_count_series(a, endpoints), _count_series(b, endpoints)):
+                assert x.tolist() == y.tolist()
         assert dataset_measures(a) == dataset_measures(b)
 
     def test_endpoint_modes(self):
-        fmt = FormatConfig(directed=True)
-        log, _ = parse_text("1 s r\n", fmt)
-        idx = {lab: i for i, lab in enumerate(log.labels)}
-        both = list(events_to_trace(log, endpoints="both"))[0]
-        recv = list(events_to_trace(log, endpoints="receiver"))[0]
-        send = list(events_to_trace(log, endpoints="sender"))[0]
-        assert both == {idx["s"]: 1, idx["r"]: 1}
-        assert recv == {idx["r"]: 1}
-        assert send == {idx["s"]: 1}
+        log, _ = parse_text("1 s r\n2 s x\n", FormatConfig(directed=True))
+        r, s, x = (log.labels.index(lab) for lab in "rsx")
+        counted = {"both": [[s, r], [s, x]], "sender": [[s], [s]], "receiver": [[r], [x]]}
+        for endpoints, per_time in counted.items():
+            rows = np.zeros((2, 3), np.int64)
+            for t, vertices in enumerate(per_time):
+                rows[t, vertices] = 1
+            assert_series(log, endpoints, rows)
         with pytest.raises(ValueError):
-            list(events_to_trace(log, endpoints="bogus"))
+            _count_series(log, "bogus")
 
     def test_trace_roundtrip_keeps_aggregate_structure(self):
         log, _ = parse_text(CONTACTS)
-        touched = set()
-        for snap in events_to_trace(log):
-            touched.update(snap)
-        assert touched == set(range(log.vertex_count))
+        rows = snapshot_rows(log)
+        assert_series(log, "both", rows)
+        assert (rows.sum(axis=0) > 0).all()  # every vertex is touched
 
 
 class TestDatasetMeasures:
     def test_matches_dense_pipeline(self):
         log, meta = parse_text(CONTACTS)
-        n = log.vertex_count
-        dense = []
-        for snap in events_to_trace(log):
-            row = [0] * n
-            for i, v in snap.items():
-                row[i] = v
-            dense.append(row)
-        expected = series_measures(dense)
+        expected = series_measures(snapshot_rows(log))
         got = dataset_measures(log)
         for name in ("mu_I", "var_I", "mu_L", "var_L", "mu_LR", "var_LR", "mu_S", "var_S"):
             assert getattr(got, name) == pytest.approx(getattr(expected, name), abs=1e-12)
@@ -204,11 +217,10 @@ class TestDatasetMeasures:
 
     def test_trajectory_matches_dense(self):
         log, _ = parse_text(CONTACTS)
-        n = log.vertex_count
         points = dataset_trajectory(log)
         assert len(points) == 3
-        for p, snap in zip(points, events_to_trace(log)):
-            assert p.r == pytest.approx(math.sqrt(sum(v * v for v in snap.values())), abs=1e-12)
+        for p, row in zip(points, snapshot_rows(log)):
+            assert p.r == pytest.approx(math.sqrt(sum(v * v for v in row.tolist())), abs=1e-12)
 
 
 class TestScale:
@@ -351,9 +363,7 @@ class TestFastTokenizer:
         same_columns(_tokenize_fast(text.encode("ascii"), FormatConfig()), whole)
         same_columns(whole, general_columns(text, FormatConfig()))
 
-    def test_custom_comment_prefix_and_path_newlines(self, tmp_path):
-        log, meta = parse_text("// 1 2 3\n1 2 3\n", FormatConfig(comment_prefixes=("//",)))
-        assert meta.t_count == 1 and meta.dropped_rows == 0
+    def test_path_reads_any_newline(self, tmp_path):
         path = tmp_path / "mac.txt"
         path.write_bytes(b"1 2 3\r2 3 4\r\n")  # a path reads any newline form
         assert parse_events(path)[1] == DatasetMeta(t_count=2, t_max=2, vertex_count=3, dropped_rows=0)

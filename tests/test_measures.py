@@ -294,3 +294,15 @@ class TestSerialization:
         path = tmp_path / "ms.json"
         save_measures(ms, path)
         assert load_measures(path) == ms
+
+    @pytest.mark.parametrize("field, text", [
+        ("delta_count", "true"), ("delta_count", "9.0"), ("var_S", "false"), ("mu_L", "1e999"),
+        ("mu_L", "1" + "0" * 400), ("m_mob", "-0.5"), ("mu_S", "null"),
+    ])
+    def test_rejects_non_numbers(self, tmp_path, field, text):
+        ms = MeasureSet.from_moments(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, delta_count=9)
+        fields = ", ".join(f'"{k}": {text if k == field else v}' for k, v in ms.to_dict().items())
+        path = tmp_path / "ms.json"
+        path.write_text("{" + fields + "}")
+        with pytest.raises(ValueError, match=field):
+            load_measures(path)

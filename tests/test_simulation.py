@@ -180,8 +180,8 @@ class TestRunSim:
         trace = run_sim(cfg, g)
         assert trace.counts.shape == (41, 30)
         assert (trace.counts >= 0).all()
-        # states are exact multiples of u
-        assert np.array_equal(trace.states, trace.counts * 0.5)
+        # the history stays integer unit counts; u travels beside it
+        assert trace.counts.dtype == np.int64 and trace.u == 0.5
 
     def test_no_generation_dies_immediately(self):
         trace = run_sim(SimConfig(g=0.0, d=1.0, t_max=5, n_0=2, seed=1), PATH3)
@@ -239,12 +239,14 @@ class TestInvariants:
                 gain = counts.sum() - before.sum()
                 assert gain * u <= report.n_senders * report.n_receivers * u + 1e-9
 
-    def test_quantization_holds_through_a_run(self):
+    def test_quantization_holds_through_a_run(self, tmp_path):
         g = generate_ws(WsParams(24, 4, 0.6), seed=9)
         cfg = SimConfig(g=0.7, d=0.4, u=0.25, t_max=60, n_0=6, seed=10)
-        states = run_sim(cfg, g).states
-        ratio = states / 0.25
-        assert np.allclose(ratio, np.round(ratio), atol=0)
+        trace = run_sim(cfg, g)
+        save_trace_csv(trace, tmp_path / "trace.csv")
+        states, _ = load_trace(tmp_path / "trace.csv")
+        # written values are exact multiples of u: dividing recovers the counts
+        assert np.array_equal(states / 0.25, trace.counts)
 
 
 class TestTraceSerialization:
@@ -258,7 +260,7 @@ class TestTraceSerialization:
         save_trace_csv(trace, path)
         states, u = load_trace(path)
         assert u is None
-        assert np.array_equal(states, trace.states)
+        assert np.array_equal(states, trace.counts * trace.u)
 
     def test_sparse_json_round_trip(self, tmp_path):
         trace = self.make_trace()
@@ -266,7 +268,7 @@ class TestTraceSerialization:
         save_trace_sparse_json(trace, path)
         states, u = load_trace(path)
         assert u == trace.u
-        assert np.array_equal(states, trace.states)
+        assert np.array_equal(states, trace.counts * trace.u)
 
     @pytest.mark.parametrize("u", [1.0, 0.5, 0.1, 3.7])
     def test_csv_bytes_match_per_cell_repr(self, tmp_path, u):
@@ -276,6 +278,16 @@ class TestTraceSerialization:
         save_trace_csv(trace, tmp_path / "new.csv")
         reference.save_trace_csv(trace, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("u", [1.0, 0.5, 0.1, 3.7])
+    @pytest.mark.parametrize("g, d, t_max", [(0.9, 0.05, 30), (0.5, 0.3, 0), (0.0, 0.5, 12)],
+                             ids=["growing", "t_max-0", "dying"])
+    def test_sparse_json_bytes_match_reference(self, tmp_path, u, g, d, t_max):
+        net = generate_ws(WsParams(40, 4, 0.5), seed=1)
+        trace = run_sim(SimConfig(g=g, d=d, u=u, t_max=t_max, n_0=5, seed=4), net)
+        save_trace_sparse_json(trace, tmp_path / "new.json")
+        reference.save_trace_sparse_json(trace, tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
     def test_rejects_malformed_csv(self, tmp_path):
         path = tmp_path / "bad.csv"

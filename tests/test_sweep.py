@@ -101,7 +101,7 @@ class TestRunSweep:
         # can at most erase the n_0 initial units
         net = generate_ws(WsParams(30, 4, 0.5), seed=1)
         cfg = SimConfig(g=0.0, d=0.5, u=1.0, t_max=10, n_0=4, seed=3)
-        states = run_sim(cfg, net).states
+        states = run_sim(cfg, net).counts * cfg.u
         total_change = sum(
             abs(states[t + 1].sum() - states[t].sum()) for t in range(len(states) - 1)
         ) / (30 * 1.0)
