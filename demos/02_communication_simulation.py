@@ -12,21 +12,18 @@ import numpy as np
 from mixbiotic import SimConfig, WsParams, generate_ws, run_sim, series_measures
 
 network = generate_ws(WsParams(n=100, k=4, p=0.7), seed=42)
-cfg = SimConfig(g=0.4, d=0.3, u=1.0, t_max=100, n_0=10, seed=7)
-trace = run_sim(cfg, network)
+cfg = SimConfig(g=0.4, d=0.3, t_max=100, n_0=10, seed=7)
+counts = run_sim(cfg, network)  # (t_max+1, n) integer unit counts
 
-print("step | informed senders receivers erased | total units")
+print("step | informed before | total units after")
 for t in (1, 2, 3, 5, 10, 25, 50, 100):
-    r = trace.reports[t - 1]
-    total = trace.counts[t].sum()
-    print(f"{t:4d} | {r.n_informed_before:8d} {r.n_senders:7d} "
-          f"{r.n_receivers:9d} {r.n_erased:6d} | {total:11d}")
+    print(f"{t:4d} | {np.count_nonzero(counts[t - 1]):15d} | {counts[t].sum():17d}")
 
-ms = series_measures(trace.counts)
+ms = series_measures(counts)
 print("\npattern measures over the run:")
 for field in ("mu_I", "mu_L", "mu_LR", "mu_S", "var_LR", "var_S"):
     print(f"  {field:<8} {getattr(ms, field):.4f}")
 print(f"  composites: atomism {ms.m_atom:.4f}, mixism {ms.m_mix:.4f}, mobism {ms.m_mob:.4f}")
 
-peak = int(np.argmax(trace.counts.sum(axis=1)))
-print(f"\npeak total information at step {peak}: {trace.counts[peak].sum()} units")
+peak = int(np.argmax(counts.sum(axis=1)))
+print(f"\npeak total information at step {peak}: {counts[peak].sum()} units")

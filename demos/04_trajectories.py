@@ -21,8 +21,8 @@ REGIMES = {
 
 network = generate_ws(WsParams(100, 4, 0.7), seed=42)
 for name, (g, d) in REGIMES.items():
-    cfg = SimConfig(g=g, d=d, u=1.0, t_max=100, n_0=10, seed=7)
-    points = trajectory(run_sim(cfg, network).counts * cfg.u)
+    cfg = SimConfig(g=g, d=d, t_max=100, n_0=10, seed=7)
+    points = trajectory(run_sim(cfg, network))
     radii = [p.r for p in points]
     print(f"{name:<9} g={g} d={d}: r start {radii[0]:.2f}, "
           f"max {max(radii):.2f}, final {radii[-1]:.2f}")

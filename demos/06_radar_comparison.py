@@ -20,8 +20,8 @@ CASES = {
 network = generate_ws(WsParams(100, 4, 0.7), seed=42)
 measure_sets = {}
 for label, (g, d) in CASES.items():
-    cfg = SimConfig(g=g, d=d, u=1.0, t_max=100, n_0=10, seed=11)
-    measure_sets[label] = series_measures(run_sim(cfg, network).counts)
+    cfg = SimConfig(g=g, d=d, t_max=100, n_0=10, seed=11)
+    measure_sets[label] = series_measures(run_sim(cfg, network))
 
 raw = {label: [getattr(ms, axis) for axis in RADAR_AXES] for label, ms in measure_sets.items()}
 maxima = [max(values[i] for values in raw.values()) for i in range(len(RADAR_AXES))]

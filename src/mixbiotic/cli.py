@@ -30,7 +30,7 @@ from .measures import (
     series_measures,
     trajectory,
 )
-from .simulation import SimConfig, load_trace, run_sim, save_trace_csv, save_trace_sparse_json
+from .simulation import SimConfig, check_unit, load_trace, run_sim, save_trace_csv, save_trace_sparse_json
 from .sweep import (
     MeshSpec,
     SweepConfig,
@@ -86,7 +86,6 @@ def _format_config(args) -> FormatConfig:
         time_col=args.time_col,
         src_col=args.src_col,
         dst_col=args.dst_col,
-        directed=args.directed,
     )
 
 
@@ -123,6 +122,7 @@ def cmd_simulate(args) -> int:
     else:
         _network_params(args).validate()
         fresh = True
+    check_unit(args.u)
     cfg_items = {
         "g": args.g, "d": args.d, "u": args.u, "t_max": args.tmax,
         "n_0": args.n0, "seed": args.seed, "trials": args.trials,
@@ -130,22 +130,22 @@ def cmd_simulate(args) -> int:
     }
     _echo_config("simulate", cfg_items)
     per_trial = []
-    first_trace = None
+    first_counts = None
     for trial in range(args.trials):
         net_seed, sim_seed = trial_seeds(args.seed, 0, trial)
         if fresh:
             graph = generate_network(_network_params(args), net_seed)
-        sim_cfg = SimConfig(g=args.g, d=args.d, u=args.u, t_max=args.tmax, n_0=args.n0, seed=sim_seed)
-        trace = run_sim(sim_cfg, graph)
-        if first_trace is None:
-            first_trace = trace
-        per_trial.append(series_measures(trace.counts))
+        sim_cfg = SimConfig(g=args.g, d=args.d, t_max=args.tmax, n_0=args.n0, seed=sim_seed)
+        counts = run_sim(sim_cfg, graph)
+        if first_counts is None:
+            first_counts = counts
+        per_trial.append(series_measures(counts))
     measures = average_measures(per_trial)
     if args.out:
         if str(args.out).endswith(".json"):
-            save_trace_sparse_json(first_trace, args.out)
+            save_trace_sparse_json(first_counts, args.out, args.u)
         else:
-            save_trace_csv(first_trace, args.out)
+            save_trace_csv(first_counts, args.out, args.u)
     if args.measures:
         save_measures(measures, args.measures)
     else:
@@ -263,7 +263,7 @@ def _add_network_flags(sp) -> None:
 def _add_sim_flags(sp) -> None:
     sp.add_argument("--g", type=float, required=True, help="generation rate")
     sp.add_argument("--d", type=float, required=True, help="disappearance rate")
-    sp.add_argument("--u", type=float, default=1.0, help="information unit")
+    sp.add_argument("--u", type=float, default=1.0, help="information unit of the written trace")
     sp.add_argument("--tmax", type=int, default=100, help="iteration count")
     sp.add_argument("--n0", type=int, default=10, help="initially informed vertices")
 
@@ -273,7 +273,6 @@ def _add_format_flags(sp) -> None:
     sp.add_argument("--time-col", type=int, default=0, dest="time_col")
     sp.add_argument("--src-col", type=int, default=1, dest="src_col")
     sp.add_argument("--dst-col", type=int, default=2, dest="dst_col")
-    sp.add_argument("--directed", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="sweep the (g,d) plane and label phases")
     _add_network_flags(sp)
     sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--u", type=float, default=1.0)
+    sp.add_argument("--u", type=float, default=1.0, help="information unit, recorded in --meta")
     sp.add_argument("--tmax", type=int, default=100)
     sp.add_argument("--n0", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)

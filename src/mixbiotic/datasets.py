@@ -57,7 +57,6 @@ class FormatConfig:
     time_col: int = 0
     src_col: int = 1
     dst_col: int = 2
-    directed: bool = False
 
     def validate(self) -> None:
         if self.delimiter not in ("auto", "whitespace", "comma"):
@@ -93,7 +92,6 @@ class EventLog:
     src: np.ndarray
     dst: np.ndarray
     labels: list[str]
-    directed: bool
 
     @property
     def vertex_count(self) -> int:
@@ -276,17 +274,17 @@ def parse_events(source, fmt: FormatConfig | None = None) -> tuple[EventLog, Dat
     if columns is None:
         text = data if isinstance(data, str) else data.decode("utf-8", errors="replace")
         columns = _tokenize_general(io.StringIO(text, newline=newline), fmt)
-    return _event_log(columns, fmt.directed)
+    return _event_log(columns)
 
 
-def _event_log(columns: _Columns, directed: bool) -> tuple[EventLog, DatasetMeta]:
+def _event_log(columns: _Columns) -> tuple[EventLog, DatasetMeta]:
     key, src, dst, labels, dropped = columns
     if not len(key):
         raise ValueError("no usable events in input")
     order = np.argsort(key, kind="stable")  # file order kept within a timestamp
     key = key[order]
     rank = np.concatenate([[0], np.cumsum(key[1:] != key[:-1])])
-    log = EventLog(rank, src[order], dst[order], labels, directed)
+    log = EventLog(rank, src[order], dst[order], labels)
     meta = DatasetMeta(
         t_count=len(rank),
         t_max=int(rank[-1]) + 1,

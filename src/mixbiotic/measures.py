@@ -196,7 +196,7 @@ def series_measures(counts) -> MeasureSet:
     """Means, unbiased variances, and composites over a count history.
 
     ``counts`` is a (steps, n) array of non-negative integer unit counts,
-    such as ``SimTrace.counts``; it must contain at least two states.
+    such as the history ``run_sim`` returns, with at least two states.
     Variance over a single transition is 0 by convention.
     """
     counts = np.asarray(counts)

@@ -1,10 +1,12 @@
 """Stochastic generation/disappearance of communication on a graph.
 
-State is the per-vertex information vector q, held internally as integer
-unit counts (q_i = count_i * u), which keeps quantization exact for any
-unit size. One step:
+State is the per-vertex vector of integer unit counts c. The paper's
+information vector is q = u * c, and every measure is unit-free, so the
+simulation carries no unit: ``run_sim`` returns the (t_max+1, n) int64
+count history, and the unit is applied only where a trace is written.
+One step:
 
-  1. count informed vertices n_inf (support of q)
+  1. count informed vertices n_inf (support of c)
   2. pick Round[g * n_inf] senders uniformly from the informed set
   3. pick Round[g * n] receivers uniformly from all vertices
   4. every adjacent (sender, receiver) pair delivers one unit to the
@@ -26,9 +28,10 @@ each such entry adds one unit to that receiver.
 
 Trace serialization: dense CSV with header ``t,q_0,...,q_{n-1}`` or a
 sparse JSON document ``{"n": n, "u": u, "rows": [{"t": k,
-"nz": [[i, q_i], ...]}, ...]}``. Both writers read the integer counts and
-look each value q = float(c) * u up in a table over the distinct counts,
-the same IEEE product as ``counts * u``. Loaders accept both formats.
+"nz": [[i, q_i], ...]}, ...]}``. Both writers take the count history and
+the unit, and look each value q = float(c) * u up in a table over the
+distinct counts, the same IEEE product as ``counts * u``. Loaders accept
+both formats.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +75,6 @@ def sample_without_replacement(rng: np.random.Generator, population: np.ndarray,
 class SimConfig:
     g: float  # generation rate
     d: float  # disappearance rate
-    u: float = 1.0  # information unit
     t_max: int = 100  # iteration count
     n_0: int = 10  # initially informed vertices
     seed: int = 0
@@ -81,8 +84,6 @@ class SimConfig:
             raise ValueError(f"generation rate must be in [0,1], got {self.g}")
         if not (0.0 <= self.d <= 1.0):
             raise ValueError(f"disappearance rate must be in [0,1], got {self.d}")
-        if self.u <= 0:
-            raise ValueError(f"information unit must be positive, got {self.u}")
         if self.t_max < 0:
             raise ValueError(f"iteration count must be >= 0, got {self.t_max}")
         if self.n_0 < 0:
@@ -91,28 +92,11 @@ class SimConfig:
             raise ValueError(f"cannot seed {self.n_0} informed vertices on {n}")
 
 
-@dataclass(frozen=True)
-class StepReport:
-    n_informed_before: int
-    n_senders: int
-    n_receivers: int
-    n_erased: int
-
-
-@dataclass
-class SimTrace:
-    """Information-count history: row t holds the counts after step t."""
-
-    counts: np.ndarray  # (t_max+1, n) int64
-    u: float
-    reports: list[StepReport] = field(default_factory=list)
-
-    @property
-    def n(self) -> int:
-        return self.counts.shape[1]
-
-    def __len__(self) -> int:
-        return self.counts.shape[0]
+def check_unit(u) -> None:
+    """The information unit must be a positive, finite number."""
+    # int/float comparison is exact: it rejects NaN, infinities and ints past the float range
+    if not _is_number(u) or not 0 < u <= sys.float_info.max:
+        raise ValueError(f"information unit must be positive and finite, got {u!r}")
 
 
 def init_state(cfg: SimConfig, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,8 +110,8 @@ def init_state(cfg: SimConfig, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def sim_step(
     counts: np.ndarray, graph: Graph, cfg: SimConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, StepReport]:
-    """One generation/disappearance step; returns new counts and a report."""
+) -> np.ndarray:
+    """One generation/disappearance step; returns the new counts."""
     n = graph.n
     if len(counts) != n:
         raise ValueError(f"state dimension {len(counts)} != vertex count {n}")
@@ -157,49 +141,52 @@ def sim_step(
     n_d = round_half_away(cfg.d * len(support))
     erased = sample_without_replacement(rng, support, n_d)
     counts[erased] = 0
-    return counts, StepReport(n_inf, n_s, n_r, n_d)
+    return counts
 
 
-def run_sim(cfg: SimConfig, graph: Graph) -> SimTrace:
-    """Full run: seed the state, then t_max steps. Pure in (cfg, graph)."""
+def run_sim(cfg: SimConfig, graph: Graph) -> np.ndarray:
+    """Full run: seed the state, then t_max steps. Pure in (cfg, graph).
+
+    Returns the (t_max+1, n) int64 count history; row t holds the counts
+    after step t.
+    """
     cfg.validate(graph.n)
     rng = np.random.default_rng(int(cfg.seed) & 0xFFFFFFFFFFFFFFFF)
     counts = init_state(cfg, graph.n, rng)
     history = np.empty((cfg.t_max + 1, graph.n), dtype=np.int64)
     history[0] = counts
-    reports = []
     for t in range(1, cfg.t_max + 1):
-        counts, report = sim_step(counts, graph, cfg, rng)
+        counts = sim_step(counts, graph, cfg, rng)
         history[t] = counts
-        reports.append(report)
-    return SimTrace(history, cfg.u, reports)
+    return history
 
 
-def _unit_values(trace: SimTrace) -> dict[int, float]:
-    """q = float(c) * u for each distinct count c of the trace."""
-    return {c: float(c) * trace.u for c in np.unique(trace.counts).tolist()}
+def _unit_values(counts: np.ndarray, u: float) -> dict[int, float]:
+    """q = float(c) * u for each distinct count c of the history."""
+    check_unit(u)
+    return {c: float(c) * u for c in np.unique(counts).tolist()}
 
 
-def save_trace_csv(trace: SimTrace, path) -> None:
+def save_trace_csv(counts: np.ndarray, path, u: float) -> None:
     """Dense CSV of q(t) = counts(t) * u, each value written as ``repr(float)``."""
-    texts = {c: repr(q) for c, q in _unit_values(trace).items()}
+    texts = {c: repr(q) for c, q in _unit_values(counts, u).items()}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"q_{i}" for i in range(trace.n)])
-        for t, row in enumerate(trace.counts):
+        writer.writerow(["t"] + [f"q_{i}" for i in range(counts.shape[1])])
+        for t, row in enumerate(counts):
             writer.writerow([t] + [texts[c] for c in row.tolist()])
 
 
-def save_trace_sparse_json(trace: SimTrace, path) -> None:
+def save_trace_sparse_json(counts: np.ndarray, path, u: float) -> None:
     """Sparse JSON of q(t) = counts(t) * u: the nonzero [i, q_i] pairs of each row."""
-    values = _unit_values(trace)
+    values = _unit_values(counts, u)
     rows = []
-    for t, row in enumerate(trace.counts):
+    for t, row in enumerate(counts):
         nz = np.flatnonzero(row)
         pairs = zip(nz.tolist(), row[nz].tolist())
         rows.append({"t": t, "nz": [[i, values[c]] for i, c in pairs]})
     with open(path, "w") as fh:
-        fh.write(json.dumps({"n": trace.n, "u": trace.u, "rows": rows}) + "\n")
+        fh.write(json.dumps({"n": counts.shape[1], "u": u, "rows": rows}) + "\n")
 
 
 def load_trace(path) -> tuple[np.ndarray, float | None]:
@@ -213,16 +200,8 @@ def load_trace(path) -> tuple[np.ndarray, float | None]:
     if head == "{":
         with open(path) as fh:
             doc = json.load(fh)
-        n = doc["n"]
-        states = np.zeros((len(doc["rows"]), n), dtype=np.float64)
-        for k, row in enumerate(doc["rows"]):
-            if row["t"] != k:
-                raise ValueError(f"sparse trace rows out of order at index {k}")
-            for i, q in row["nz"]:
-                if type(i) is not int or not 0 <= i < n:
-                    raise ValueError(f"sparse trace index {i!r} is not a vertex of 0..{n - 1}")
-                states[k, i] = q
-        return _checked(states), float(doc["u"])
+        check_unit(doc["u"])
+        return _sparse_states(doc["n"], doc["rows"]), float(doc["u"])
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -234,10 +213,35 @@ def load_trace(path) -> tuple[np.ndarray, float | None]:
             if len(row) != n + 1:
                 raise ValueError(f"trace row length {len(row)} != {n + 1}")
             data.append([float(v) for v in row[1:]])
-    return _checked(np.asarray(data, dtype=np.float64)), None
-
-
-def _checked(states: np.ndarray) -> np.ndarray:
+    states = np.asarray(data, dtype=np.float64)
     if not np.isfinite(states).all() or (states < 0).any():
         raise ValueError("trace values must be finite and non-negative")
+    return states, None
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _sparse_states(n, rows) -> np.ndarray:
+    """Dense states of a sparse document's rows, with every field type-checked."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"sparse trace 'n' must be a non-negative integer, got {n!r}")
+    if not isinstance(rows, list):
+        raise ValueError("sparse trace 'rows' must be a list")
+    states = np.zeros((len(rows), n), dtype=np.float64)
+    for k, row in enumerate(rows):
+        if not isinstance(row, dict) or not isinstance(row.get("nz"), list):
+            raise ValueError(f"sparse trace row {k} must be an object with an 'nz' list")
+        if type(row.get("t")) is not int or row["t"] != k:
+            raise ValueError(f"sparse trace rows out of order at index {k}")
+        for pair in row["nz"]:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ValueError(f"sparse trace entry {pair!r} of row {k} is not an [i, q] pair")
+            i, q = pair
+            if type(i) is not int or not 0 <= i < n:
+                raise ValueError(f"sparse trace index {i!r} is not a vertex of 0..{n - 1}")
+            if not _is_number(q) or not 0 <= q <= sys.float_info.max:
+                raise ValueError(f"sparse trace value {q!r} is not a finite non-negative number")
+            states[k, i] = q
     return states

@@ -26,14 +26,14 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .generators import BaParams, WsParams, generate_network
 from .measures import MeasureSet, average_measures, series_measures
-from .simulation import SimConfig, run_sim
+from .simulation import SimConfig, check_unit, run_sim
 
 PHASES = ("Nihilism", "Atomism", "Mixism", "Mobism")
 
@@ -101,7 +101,8 @@ class SweepConfig:
             raise ValueError(
                 f"nihilism threshold must be in (0,1), got {self.nihilism_threshold}"
             )
-        SimConfig(0.0, 0.0, self.u, self.t_max, self.n_0).validate(self.network.n)
+        check_unit(self.u)
+        SimConfig(g=0.0, d=0.0, t_max=self.t_max, n_0=self.n_0).validate(self.network.n)
 
     @property
     def model(self) -> str:
@@ -146,9 +147,8 @@ def _point_task(args: tuple[SweepConfig, tuple[float, float], int]) -> MeasureSe
     for trial in range(cfg.trials):
         net_seed, sim_seed = trial_seeds(cfg.base_seed, point_index, trial)
         graph = generate_network(cfg.network, net_seed) if cfg.fresh_network else shared
-        sim_cfg = SimConfig(g=g, d=d, u=cfg.u, t_max=cfg.t_max, n_0=cfg.n_0, seed=sim_seed)
-        trace = run_sim(sim_cfg, graph)
-        per_trial.append(series_measures(trace.counts))
+        sim_cfg = SimConfig(g=g, d=d, t_max=cfg.t_max, n_0=cfg.n_0, seed=sim_seed)
+        per_trial.append(series_measures(run_sim(sim_cfg, graph)))
     return average_measures(per_trial)
 
 
@@ -201,15 +201,6 @@ def run_sweep(
     return PhaseGrid(points, cfg.nihilism_threshold, cfg)
 
 
-def classify_phases(grid: PhaseGrid, threshold: float) -> PhaseGrid:
-    """Relabel an already-normalized grid with a different threshold."""
-    points = [
-        replace(p, phase=_label(p.norm_atom, p.norm_mix, p.norm_mob, threshold))
-        for p in grid.points
-    ]
-    return PhaseGrid(points, threshold, grid.config)
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -231,45 +222,22 @@ def save_grid_csv(grid: PhaseGrid, path) -> None:
             )
 
 
-def load_grid_csv(path) -> PhaseGrid:
-    """Rebuild a grid from its CSV; delta_count is not carried (-1)."""
-    points = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if ",".join(header) != GRID_CSV_HEADER:
-            raise ValueError("unexpected grid CSV header")
-        for row in reader:
-            vals = [float(v) for v in row[:16]]
-            ms = MeasureSet(
-                mu_I=vals[2], var_I=vals[3], mu_L=vals[4], var_L=vals[5],
-                mu_LR=vals[6], var_LR=vals[7], mu_S=vals[8], var_S=vals[9],
-                m_atom=vals[10], m_mix=vals[11], m_mob=vals[12], delta_count=-1,
-            )
-            points.append(PhasePoint(
-                g=vals[0], d=vals[1], measures=ms,
-                norm_atom=vals[13], norm_mix=vals[14], norm_mob=vals[15],
-                phase=row[16],
-            ))
-    return PhaseGrid(points, threshold=-1.0)
-
-
 def save_grid_metadata(grid: PhaseGrid, path) -> None:
-    cfg = grid.config
+    config = grid.config
     doc = {
         "mesh_points": len(grid.points),
         "nihilism_threshold": grid.threshold,
     }
-    if cfg is not None:
+    if config is not None:
         doc.update({
-            "model": cfg.model,
-            "network": vars(cfg.network).copy(),
-            "trials": cfg.trials,
-            "u": cfg.u,
-            "t_max": cfg.t_max,
-            "n_0": cfg.n_0,
-            "base_seed": cfg.base_seed,
-            "fresh_network": cfg.fresh_network,
+            "model": config.model,
+            "network": vars(config.network).copy(),
+            "trials": config.trials,
+            "u": config.u,
+            "t_max": config.t_max,
+            "n_0": config.n_0,
+            "base_seed": config.base_seed,
+            "fresh_network": config.fresh_network,
         })
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from mixbiotic.datasets import DatasetMeta, FormatConfig
 from mixbiotic.graph import Graph, GraphStats, mean_clustering
-from mixbiotic.simulation import StepReport, round_half_away
+from mixbiotic.simulation import round_half_away
 
 
 def sample_without_replacement(rng, population, k):
@@ -60,8 +60,7 @@ def sim_step(counts, graph, cfg, rng, adj=None):
     n = graph.n
     counts = counts.copy()
     informed = np.flatnonzero(counts)
-    n_inf = len(informed)
-    n_s = round_half_away(cfg.g * n_inf)
+    n_s = round_half_away(cfg.g * len(informed))
     senders = sample_without_replacement(rng, informed, n_s)
     n_r = round_half_away(cfg.g * n)
     receivers = sample_without_replacement(rng, np.arange(n), n_r)
@@ -73,7 +72,7 @@ def sim_step(counts, graph, cfg, rng, adj=None):
     support = np.flatnonzero(counts)
     n_d = round_half_away(cfg.d * len(support))
     counts[sample_without_replacement(rng, support, n_d)] = 0
-    return counts, StepReport(n_inf, n_s, n_r, n_d)
+    return counts
 
 
 def generate_ba(params, seed):
@@ -103,28 +102,23 @@ def generate_ba(params, seed):
     return Graph(n, edges)
 
 
-def states(trace):
-    """Float information vectors q(t) = counts(t) * u."""
-    return trace.counts.astype(np.float64) * trace.u
-
-
-def save_trace_csv(trace, path):
-    """One ``repr`` per cell over the float states."""
+def save_trace_csv(counts, path, u):
+    """One ``repr`` per cell over the float states q(t) = counts(t) * u."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"q_{i}" for i in range(trace.n)])
-        for t, row in enumerate(states(trace)):
+        writer.writerow(["t"] + [f"q_{i}" for i in range(counts.shape[1])])
+        for t, row in enumerate(counts.astype(np.float64) * u):
             writer.writerow([t] + [repr(float(v)) for v in row])
 
 
-def save_trace_sparse_json(trace, path):
+def save_trace_sparse_json(counts, path, u):
     """One ``float`` per nonzero cell of the float states, through ``json.dump``."""
     rows = []
-    for t, row in enumerate(states(trace)):
+    for t, row in enumerate(counts.astype(np.float64) * u):
         nz = [[int(i), float(row[i])] for i in np.flatnonzero(row)]
         rows.append({"t": t, "nz": nz})
     with open(path, "w") as fh:
-        json.dump({"n": trace.n, "u": trace.u, "rows": rows}, fh)
+        json.dump({"n": counts.shape[1], "u": u, "rows": rows}, fh)
         fh.write("\n")
 
 

@@ -114,6 +114,16 @@ class TestSimulate:
         assert run(["simulate", "--model", "ws", "--n", "20", "--k", "4", "--p", "0.5",
                     "--g", "1.5", "--d", "0.3", "--out", tmp_path / "t.csv"]) == 3
 
+    @pytest.mark.parametrize("u", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("ext", ["csv", "json"])
+    def test_rejects_bad_unit_before_writing(self, tmp_path, capsys, u, ext):
+        out, ms = tmp_path / f"t.{ext}", tmp_path / "ms.json"
+        assert run(["simulate", "--model", "ws", "--n", "20", "--k", "4", "--p", "0.5",
+                    "--g", "0.5", "--d", "0.3", "--tmax", "3", "--u", u,
+                    "--out", out, "--measures", ms]) == 3
+        assert "information unit" in capsys.readouterr().err
+        assert not out.exists() and not ms.exists()
+
     @pytest.mark.parametrize("doc", [
         '{"n": 3, "edges": [[0, 1.5]]}',
         '{"n": 3.5, "edges": [[0, 1]]}',
@@ -152,6 +162,15 @@ class TestSweepCommand:
         assert run(base + ["--out", b, "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("u", ["0", "-1", "nan", "inf"])
+    def test_rejects_bad_unit_before_writing(self, tmp_path, capsys, u):
+        out, meta = tmp_path / "grid.csv", tmp_path / "meta.json"
+        assert run(["sweep", "--model", "ws", "--n", "20", "--k", "4", "--p", "0.5",
+                    "--trials", "1", "--tmax", "3", "--n0", "3", "--u", u, "--mesh", "grid",
+                    "--out", out, "--meta", meta]) == 3
+        assert "information unit" in capsys.readouterr().err
+        assert not out.exists() and not meta.exists()
+
     def test_unknown_mesh_flag(self, tmp_path):
         assert run(["sweep", "--model", "ws", "--n", "20", "--k", "4", "--p", "0.5",
                     "--mesh", "bogus", "--out", tmp_path / "g.csv"]) == 2
@@ -181,7 +200,7 @@ class TestMeasure:
     def test_receiver_only_differs(self, events_file, tmp_path):
         both, recv = tmp_path / "b.json", tmp_path / "r.json"
         run(["measure", "--events", events_file, "--out", both])
-        run(["measure", "--events", events_file, "--directed",
+        run(["measure", "--events", events_file,
              "--endpoints", "receiver", "--out", recv])
         assert json.loads(both.read_text()) != json.loads(recv.read_text())
 
@@ -242,8 +261,20 @@ class TestTrajectory:
         ("trace.csv", "t,q_0,q_1\n0,1.0,nan\n"),
         ("trace.csv", "t,q_0,q_1\n0,1.0,-1.0\n"),
         ("trace.csv", "t,q_0,q_1\n0,inf,1.0\n"),
+        ("trace.json", '{"n": "3", "u": 1.0, "rows": [{"t": 0, "nz": [[1, 2.0]]}]}'),
+        ("trace.json", '{"n": 1.5, "u": 1.0, "rows": [{"t": 0, "nz": [[0, 2.0]]}]}'),
+        ("trace.json", '{"n": true, "u": 1.0, "rows": [{"t": 0, "nz": [[0, 2.0]]}]}'),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": 5}'),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [[0, [[1, 2.0]]]]}'),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": 5}]}'),
+        ("trace.json", '{"n": 3, "u": null, "rows": [{"t": 0, "nz": [[1, 2.0]]}]}'),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[0, "1"]]}]}'),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[0, 1%s]]}]}' % ("0" * 400)),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": []}, {"t": true, "nz": []}]}'),
     ], ids=["negative-index", "index-past-n", "fractional-index", "negative-q-json",
-            "inf-q-json", "nan-q-csv", "negative-q-csv", "inf-q-csv"])
+            "inf-q-json", "nan-q-csv", "negative-q-csv", "inf-q-csv", "string-n", "float-n",
+            "bool-n", "int-rows", "list-row", "int-nz", "null-u", "string-q", "401-digit-q",
+            "bool-t"])
     def test_rejects_malformed_trace(self, tmp_path, name, text):
         trace = tmp_path / name
         trace.write_text(text)

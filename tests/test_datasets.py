@@ -74,10 +74,9 @@ class TestParseEvents:
         assert meta.dropped_rows == 3
 
     def test_comma_delimited_and_column_roles(self):
-        fmt = FormatConfig(time_col=2, src_col=0, dst_col=1, directed=True)
-        log, meta = parse_text("5,9,1082040961\n9,5,1082041000\n", fmt)
+        fmt = FormatConfig(time_col=2, src_col=0, dst_col=1)
+        _, meta = parse_text("5,9,1082040961\n9,5,1082041000\n", fmt)
         assert meta.t_count == 2
-        assert log.directed
 
     def test_percent_comments(self):
         _, meta = parse_text("% header\n1 a b\n")
@@ -188,7 +187,7 @@ class TestEventsToTrace:
         assert dataset_measures(a) == dataset_measures(b)
 
     def test_endpoint_modes(self):
-        log, _ = parse_text("1 s r\n2 s x\n", FormatConfig(directed=True))
+        log, _ = parse_text("1 s r\n2 s x\n")
         r, s, x = (log.labels.index(lab) for lab in "rsx")
         counted = {"both": [[s, r], [s, x]], "sender": [[s], [s]], "receiver": [[r], [x]]}
         for endpoints, per_time in counted.items():
@@ -299,7 +298,7 @@ def same_columns(fast, general):
     rank = lambda key: np.unique(key, return_inverse=True)[1].tolist()
     assert rank(fast[0]) == rank(general[0])
     if len(fast[0]):
-        assert _event_log(fast, False)[1] == _event_log(general, False)[1]
+        assert _event_log(fast)[1] == _event_log(general)[1]
 
 
 ODD_TOKENS = st.sampled_from([

@@ -78,15 +78,15 @@ class TestSampling:
 
 class TestInitState:
     def test_exact_seed_count(self):
-        cfg = SimConfig(g=0.4, d=0.3, u=1.0, n_0=10)
+        cfg = SimConfig(g=0.4, d=0.3, n_0=10)
         counts = init_state(cfg, 100, rng_of(4))
         assert int((counts == 1).sum()) == 10
         assert int((counts == 0).sum()) == 90
 
     def test_all_vertices_seeded(self):
-        cfg = SimConfig(g=0, d=0, u=2.0, n_0=5)
+        cfg = SimConfig(g=0, d=0, n_0=5)
         counts = init_state(cfg, 5, rng_of(4))
-        assert (counts == 1).all()  # q = counts * u = 2 everywhere
+        assert (counts == 1).all()
 
     def test_empty_seed(self):
         cfg = SimConfig(g=0, d=0, n_0=0)
@@ -101,28 +101,24 @@ class TestSimStep:
     def test_hand_trace_send_only(self):
         # g=1 selects every informed vertex and every receiver deterministically
         cfg = SimConfig(g=1.0, d=0.0)
-        counts, report = sim_step(np.array([1, 0, 0]), PATH3, cfg, rng_of(0))
+        counts = sim_step(np.array([1, 0, 0]), PATH3, cfg, rng_of(0))
         assert counts.tolist() == [1, 1, 0]
-        assert (report.n_informed_before, report.n_senders,
-                report.n_receivers, report.n_erased) == (1, 1, 3, 0)
 
     def test_hand_trace_send_then_full_erase(self):
         cfg = SimConfig(g=1.0, d=1.0)
-        counts, report = sim_step(np.array([1, 0, 0]), PATH3, cfg, rng_of(0))
+        counts = sim_step(np.array([1, 0, 0]), PATH3, cfg, rng_of(0))
         assert counts.tolist() == [0, 0, 0]
-        assert report.n_erased == 2
 
     def test_hand_trace_no_generation(self):
         cfg = SimConfig(g=0.0, d=1.0)
-        counts, report = sim_step(np.array([1, 1, 0]), PATH3, cfg, rng_of(0))
+        counts = sim_step(np.array([1, 1, 0]), PATH3, cfg, rng_of(0))
         assert counts.tolist() == [0, 0, 0]
-        assert (report.n_senders, report.n_receivers, report.n_erased) == (0, 0, 2)
 
     def test_accumulates_across_senders(self):
         # both ends of a path send to the middle: it gains two units
         star = Graph(3, [(0, 1), (2, 1)])
         cfg = SimConfig(g=1.0, d=0.0)
-        counts, _ = sim_step(np.array([1, 0, 1]), star, cfg, rng_of(0))
+        counts = sim_step(np.array([1, 0, 1]), star, cfg, rng_of(0))
         assert counts.tolist() == [1, 2, 1]
 
     def test_dimension_mismatch(self):
@@ -147,10 +143,9 @@ class TestDenseReference:
             new, old = init_state(cfg, graph.n, a), reference.init_state(cfg, graph.n, b)
             assert np.array_equal(new, old)
             for _ in range(cfg.t_max):
-                new, new_report = sim_step(new, graph, cfg, a)
-                old, old_report = reference.sim_step(old, graph, cfg, b, adj)
+                new = sim_step(new, graph, cfg, a)
+                old = reference.sim_step(old, graph, cfg, b, adj)
                 assert np.array_equal(new, old), (g, d)
-                assert new_report == old_report, (g, d)
             assert a.bit_generator.state == b.bit_generator.state
 
     def test_run_sim_matches_reference_loop(self):
@@ -158,42 +153,36 @@ class TestDenseReference:
         cfg = SimConfig(g=0.4, d=0.3, seed=12)
         rng = rng_of(cfg.seed)
         counts = reference.init_state(cfg, graph.n, rng)
-        history, reports = [counts], []
+        history = [counts]
         for _ in range(cfg.t_max):
-            counts, report = reference.sim_step(counts, graph, cfg, rng)
+            counts = reference.sim_step(counts, graph, cfg, rng)
             history.append(counts)
-            reports.append(report)
-        trace = run_sim(cfg, graph)
-        assert np.array_equal(trace.counts, np.array(history))
-        assert trace.reports == reports
+        assert np.array_equal(run_sim(cfg, graph), np.array(history))
 
 
 class TestRunSim:
     def test_zero_steps(self):
-        trace = run_sim(SimConfig(g=0.5, d=0.5, t_max=0, n_0=2, seed=3), PATH3)
-        assert len(trace) == 1
-        assert trace.reports == []
+        counts = run_sim(SimConfig(g=0.5, d=0.5, t_max=0, n_0=2, seed=3), PATH3)
+        assert counts.shape == (1, 3)
 
     def test_trace_shape_and_quantization(self):
         g = generate_ws(WsParams(30, 4, 0.3), seed=2)
-        cfg = SimConfig(g=0.6, d=0.2, u=0.5, t_max=40, n_0=5, seed=8)
-        trace = run_sim(cfg, g)
-        assert trace.counts.shape == (41, 30)
-        assert (trace.counts >= 0).all()
-        # the history stays integer unit counts; u travels beside it
-        assert trace.counts.dtype == np.int64 and trace.u == 0.5
+        cfg = SimConfig(g=0.6, d=0.2, t_max=40, n_0=5, seed=8)
+        counts = run_sim(cfg, g)
+        # the history is a plain array of integer unit counts
+        assert type(counts) is np.ndarray and counts.dtype == np.int64
+        assert counts.shape == (41, 30)
+        assert (counts >= 0).all()
 
     def test_no_generation_dies_immediately(self):
-        trace = run_sim(SimConfig(g=0.0, d=1.0, t_max=5, n_0=2, seed=1), PATH3)
-        assert (trace.counts[0] != 0).sum() == 2
-        assert (trace.counts[1:] == 0).all()
+        counts = run_sim(SimConfig(g=0.0, d=1.0, t_max=5, n_0=2, seed=1), PATH3)
+        assert (counts[0] != 0).sum() == 2
+        assert (counts[1:] == 0).all()
 
     def test_determinism(self):
         g = generate_ws(WsParams(20, 4, 0.5), seed=5)
         cfg = SimConfig(g=0.4, d=0.3, t_max=30, n_0=4, seed=77)
-        a, b = run_sim(cfg, g), run_sim(cfg, g)
-        assert np.array_equal(a.counts, b.counts)
-        assert a.reports == b.reports
+        assert np.array_equal(run_sim(cfg, g), run_sim(cfg, g))
 
     def test_validates_config(self):
         with pytest.raises(ValueError):
@@ -214,18 +203,14 @@ class TestInvariants:
             graph = Graph(n, edges)
             g = float(param_rng.choice([0.0, 0.3, 0.7, 1.0]))
             d = float(param_rng.choice([0.0, 0.4, 1.0]))
-            u = float(param_rng.choice([0.5, 1.0]))
-            cfg = SimConfig(g=g, d=d, u=u, n_0=int(param_rng.integers(0, n + 1)))
+            cfg = SimConfig(g=g, d=d, n_0=int(param_rng.integers(0, n + 1)))
             counts = init_state(cfg, n, rng)
             for _ in range(25):
                 before = counts
-                counts, report = sim_step(counts, graph, cfg, rng)
+                counts = sim_step(counts, graph, cfg, rng)
                 checked += 1
-                # support consistency and non-negativity
+                # non-negativity
                 assert (counts >= 0).all()
-                assert report.n_informed_before == int((before != 0).sum())
-                assert report.n_senders <= report.n_informed_before
-                assert report.n_receivers <= n
                 # absorbing death
                 if (before == 0).all():
                     assert (counts == 0).all()
@@ -236,47 +221,46 @@ class TestInvariants:
                 if g == 0.0:
                     assert counts.sum() <= before.sum()
                 # per-step gain bounded by sender-receiver pairings
-                gain = counts.sum() - before.sum()
-                assert gain * u <= report.n_senders * report.n_receivers * u + 1e-9
+                n_senders = round_half_away(g * np.count_nonzero(before))
+                assert counts.sum() - before.sum() <= n_senders * round_half_away(g * n)
 
     def test_quantization_holds_through_a_run(self, tmp_path):
         g = generate_ws(WsParams(24, 4, 0.6), seed=9)
-        cfg = SimConfig(g=0.7, d=0.4, u=0.25, t_max=60, n_0=6, seed=10)
-        trace = run_sim(cfg, g)
-        save_trace_csv(trace, tmp_path / "trace.csv")
+        counts = run_sim(SimConfig(g=0.7, d=0.4, t_max=60, n_0=6, seed=10), g)
+        save_trace_csv(counts, tmp_path / "trace.csv", 0.25)
         states, _ = load_trace(tmp_path / "trace.csv")
         # written values are exact multiples of u: dividing recovers the counts
-        assert np.array_equal(states / 0.25, trace.counts)
+        assert np.array_equal(states / 0.25, counts)
 
 
 class TestTraceSerialization:
-    def make_trace(self):
+    def make_counts(self):
         g = generate_ws(WsParams(12, 4, 0.4), seed=6)
         return run_sim(SimConfig(g=0.5, d=0.3, t_max=10, n_0=3, seed=2), g)
 
     def test_csv_round_trip(self, tmp_path):
-        trace = self.make_trace()
+        counts = self.make_counts()
         path = tmp_path / "trace.csv"
-        save_trace_csv(trace, path)
+        save_trace_csv(counts, path, 1.0)
         states, u = load_trace(path)
         assert u is None
-        assert np.array_equal(states, trace.counts * trace.u)
+        assert np.array_equal(states, counts * 1.0)
 
     def test_sparse_json_round_trip(self, tmp_path):
-        trace = self.make_trace()
+        counts = self.make_counts()
         path = tmp_path / "trace.json"
-        save_trace_sparse_json(trace, path)
+        save_trace_sparse_json(counts, path, 1.0)
         states, u = load_trace(path)
-        assert u == trace.u
-        assert np.array_equal(states, trace.counts * trace.u)
+        assert u == 1.0
+        assert np.array_equal(states, counts * 1.0)
 
     @pytest.mark.parametrize("u", [1.0, 0.5, 0.1, 3.7])
     def test_csv_bytes_match_per_cell_repr(self, tmp_path, u):
         g = generate_ws(WsParams(40, 4, 0.5), seed=1)
-        trace = run_sim(SimConfig(g=0.9, d=0.05, u=u, t_max=30, n_0=5, seed=4), g)
-        assert trace.counts.max() > 2
-        save_trace_csv(trace, tmp_path / "new.csv")
-        reference.save_trace_csv(trace, tmp_path / "old.csv")
+        counts = run_sim(SimConfig(g=0.9, d=0.05, t_max=30, n_0=5, seed=4), g)
+        assert counts.max() > 2
+        save_trace_csv(counts, tmp_path / "new.csv", u)
+        reference.save_trace_csv(counts, tmp_path / "old.csv", u)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @pytest.mark.parametrize("u", [1.0, 0.5, 0.1, 3.7])
@@ -284,9 +268,9 @@ class TestTraceSerialization:
                              ids=["growing", "t_max-0", "dying"])
     def test_sparse_json_bytes_match_reference(self, tmp_path, u, g, d, t_max):
         net = generate_ws(WsParams(40, 4, 0.5), seed=1)
-        trace = run_sim(SimConfig(g=g, d=d, u=u, t_max=t_max, n_0=5, seed=4), net)
-        save_trace_sparse_json(trace, tmp_path / "new.json")
-        reference.save_trace_sparse_json(trace, tmp_path / "old.json")
+        counts = run_sim(SimConfig(g=g, d=d, t_max=t_max, n_0=5, seed=4), net)
+        save_trace_sparse_json(counts, tmp_path / "new.json", u)
+        reference.save_trace_sparse_json(counts, tmp_path / "old.json", u)
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
     def test_rejects_malformed_csv(self, tmp_path):
