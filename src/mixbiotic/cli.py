@@ -161,6 +161,11 @@ def _mesh_from_flag(mesh_flag: str) -> list[tuple[float, float]]:
     if mesh_flag.startswith("file:"):
         path = mesh_flag[5:]
         doc = _read(json.loads, _read(Path(path).read_text))
+        # bool is an int subclass: JSON true would silently be the rate 1.0
+        if not isinstance(doc, list) or not all(
+            isinstance(p, list) and len(p) == 2 and {type(x) for x in p} <= {int, float} for p in doc
+        ):
+            raise InputError(f"--mesh file {path} must be a JSON list of [g, d] number pairs")
         return build_mesh(MeshSpec(grid_step=None, extra_points=[tuple(p) for p in doc]))
     raise InputError(f"--mesh must be default, grid, or file:<path>, got {mesh_flag!r}")
 

@@ -2,9 +2,9 @@
 
 Graphs are immutable: a vertex count plus a deduplicated set of unordered
 edges (i, j) with i < j; the count and every endpoint must be ``int``.
-Adjacency is exposed both as neighbor sets (for clustering) and as
-cached CSR arrays (for the vectorized simulation step and the
-level-synchronous BFS behind the distance statistics).
+The only adjacency is a pair of CSR arrays built with the graph;
+``Graph.arcs`` gathers the arcs leaving a set of vertices for the
+simulation's delivery, the distance BFS and the clustering.
 
 Serialization format (JSON)::
 
@@ -24,7 +24,7 @@ import numpy as np
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_neighbors", "_csr")
+    __slots__ = ("n", "edges", "indptr", "indices")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         # bool is an int subclass, and JSON true would silently be vertex 1
@@ -43,37 +43,32 @@ class Graph:
             canon.add((i, j) if i < j else (j, i))
         self.n = int(n)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
-        neighbors: list[set[int]] = [set() for _ in range(n)]
-        for i, j in self.edges:
-            neighbors[i].add(j)
-            neighbors[j].add(i)
-        self._neighbors = neighbors
-        self._csr = None
+        # CSR adjacency: the neighbors of v are indices[indptr[v]:indptr[v + 1]], ascending
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        src, dst = np.concatenate([ends, ends[:, ::-1]]).T  # both arcs of every edge
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
+        self.indices = dst[np.argsort(src * n + dst)]
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> set[int]:
-        return self._neighbors[v]
-
     def degree(self, v: int) -> int:
-        return len(self._neighbors[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached CSR adjacency (indptr, indices), int64.
+    def arcs(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every arc leaving ``vertices``, as (slot, neighbor) arrays.
 
-        The neighbors of v are ``indices[indptr[v]:indptr[v + 1]]``, in no
-        particular order.
+        Arc r runs from ``vertices[slot[r]]`` to ``neighbor[r]``; the arcs
+        come slot by slot, each vertex's neighbors in ascending order.
         """
-        if self._csr is None:
-            ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-            src = np.concatenate([ends[:, 0], ends[:, 1]])
-            dst = np.concatenate([ends[:, 1], ends[:, 0]])
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
-            self._csr = (indptr, dst[np.argsort(src, kind="stable")])
-        return self._csr
+        starts = self.indptr[vertices]
+        deg = self.indptr[vertices + 1] - starts
+        slot = np.repeat(np.arange(len(deg)), deg)
+        # slice s starts at starts[s] in `indices` and at ends[s] - deg[s] in the run
+        ends = np.cumsum(deg)
+        return slot, self.indices[np.arange(len(slot)) + (starts - ends + deg)[slot]]
 
     def __eq__(self, other):
         return (
@@ -123,29 +118,31 @@ class GraphStats:
         }
 
 
-def local_clustering(g: Graph, v: int) -> float:
-    """Fraction of neighbor pairs that are themselves connected.
+def local_clustering(g: Graph) -> np.ndarray:
+    """Per-vertex fraction of neighbor pairs that are themselves connected.
 
-    Vertices with degree < 2 contribute 0.
+    Vertices with degree < 2 get 0. The common neighbors of each arc's
+    endpoints are found by looking the neighbors of the lower-degree
+    endpoint up among the sorted arc keys ``v * n + w``, so the work is
+    bounded by twice the sum over edges of the smaller degree.
     """
-    nbrs = g._neighbors[v]
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    links = 0
-    for u in nbrs:
-        # count each neighbor pair once via the smaller adjacency set
-        u_nbrs = g._neighbors[u]
-        if len(u_nbrs) < k:
-            links += sum(1 for w in u_nbrs if w in nbrs)
-        else:
-            links += sum(1 for w in nbrs if w in u_nbrs)
-    # every pair counted twice (once from each endpoint)
-    return links / (k * (k - 1))
+    n = g.n
+    deg = np.diff(g.indptr)
+    src, dst = g.arcs(np.arange(n))
+    arc_keys = src * n + dst  # ascending
+    low = np.where(deg[src] <= deg[dst], src, dst)
+    slot, w = g.arcs(low)
+    keys = (src + dst - low)[slot] * n + w
+    at = np.minimum(np.searchsorted(arc_keys, keys), len(arc_keys) - 1)
+    # links[v]: one per (neighbor, common neighbor), i.e. twice the edges among v's neighbors
+    links = np.bincount(src[slot[arc_keys[at] == keys]], minlength=n)
+    # below degree 2 there are no links, and the divisor 1 keeps the 0
+    return links / np.maximum(deg * (deg - 1), 1)
 
 
 def mean_clustering(g: Graph) -> float:
-    return sum(local_clustering(g, v) for v in range(g.n)) / g.n
+    # sequential float sum: the stats.json bytes depend on this rounding
+    return sum(local_clustering(g).tolist()) / g.n
 
 
 _BFS_CELLS = 1 << 20  # sources per BFS block x max(vertices, arcs)
@@ -158,7 +155,6 @@ def _bfs_block(g: Graph, sources: np.ndarray) -> np.ndarray:
     through the CSR arrays.
     """
     n = g.n
-    indptr, indices = g.csr()
     dist = np.full((len(sources), n), -1, dtype=np.int64)
     flat = dist.reshape(-1)
     owner = np.empty_like(flat)
@@ -168,10 +164,8 @@ def _bfs_block(g: Graph, sources: np.ndarray) -> np.ndarray:
     while front.size:
         level += 1
         v = front % n
-        deg = indptr[v + 1] - indptr[v]
-        before = np.cumsum(deg) - deg
-        arc = np.repeat(indptr[v] - before, deg) + np.arange(int(before[-1] + deg[-1]))
-        cells = np.repeat(front - v, deg) + indices[arc]
+        slot, w = g.arcs(v)
+        cells = (front - v)[slot] + w
         cells = cells[flat[cells] < 0]
         # one copy of each cell: exactly one of its positions wins the scatter
         pos = np.arange(len(cells))

@@ -22,9 +22,9 @@ k swap indices of a partial Fisher-Yates shuffle from one broadcast
 k scalar ``integers(i, m)`` calls in order would; empty selections
 consume nothing.
 
-Delivery reads the graph's CSR neighbor arrays: the senders' neighbor
-slices are gathered, the entries that fall on a receiver are kept, and
-each such entry adds one unit to that receiver.
+Delivery gathers every arc leaving a sender with ``Graph.arcs``, keeps
+the arcs that end on a receiver, and adds one unit to that receiver per
+such arc.
 
 Trace serialization: dense CSV with header ``t,q_0,...,q_{n-1}`` or a
 sparse JSON document ``{"n": n, "u": u, "rows": [{"t": k,
@@ -126,13 +126,7 @@ def sim_step(
 
     if n_s and n_r:
         # one unit per adjacent (sender, receiver) pair, accumulated
-        indptr, indices = graph.csr()
-        starts = indptr[senders]
-        lengths = indptr[senders + 1] - starts
-        # the senders' slices laid end to end: slice s starts at starts[s]
-        # in `indices` and at ends[s] - lengths[s] in the gathered run
-        ends = np.cumsum(lengths)
-        nbrs = indices[np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)]
+        _, nbrs = graph.arcs(senders)
         is_receiver = np.zeros(n, dtype=bool)
         is_receiver[receivers] = True
         counts += np.bincount(nbrs[is_receiver[nbrs]], minlength=n)

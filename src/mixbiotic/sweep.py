@@ -72,10 +72,11 @@ def build_mesh(spec: MeshSpec) -> list[tuple[float, float]]:
         axis = [min(i * spec.grid_step, 1.0) for i in range(steps + 1)]
         pts.extend((g, d) for g in axis for d in axis)
     extras = spec.extra_points if spec.extra_points is not None else default_extra_points()
-    pts.extend((float(g), float(d)) for g, d in extras)
-    for g, d in pts:
+    for g, d in extras:
+        # checked before float(): an int past the float range is outside too
         if not (0.0 <= g <= 1.0 and 0.0 <= d <= 1.0):
             raise ValueError(f"mesh point ({g},{d}) outside the unit square")
+        pts.append((float(g), float(d)))
     seen = {}
     for g, d in pts:
         seen[(round(g * 1e9), round(d * 1e9))] = (g, d)
@@ -179,6 +180,8 @@ def run_sweep(
 ) -> PhaseGrid:
     """Trial-averaged measures, normalization, and phase label per point."""
     cfg.validate()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not mesh:
         raise ValueError("mesh is empty")
     tasks = [(cfg, point, idx) for idx, point in enumerate(mesh)]

@@ -9,9 +9,10 @@ trace. Both must consume the same PCG64 stream in the same order and give
 exactly equal results.
 
 The event-log oracles keep events as ``(time, src, dst)`` tuples, count
-snapshots in dicts and run one Python BFS per source. The library versions
-work on int64 columns and a block BFS over CSR arrays; both must give
-exactly equal results.
+snapshots in dicts and run one Python BFS per source. The graph oracles
+build per-vertex neighbor sets from ``g.edges`` and count clustering links
+by set lookups. The library versions work on int64 columns, a block BFS
+over CSR arrays and sorted arc keys; both must give exactly equal results.
 """
 
 import csv
@@ -23,7 +24,7 @@ from collections import deque
 import numpy as np
 
 from mixbiotic.datasets import DatasetMeta, FormatConfig
-from mixbiotic.graph import Graph, GraphStats, mean_clustering
+from mixbiotic.graph import Graph, GraphStats
 from mixbiotic.simulation import round_half_away
 
 
@@ -198,14 +199,49 @@ def count_series(events, endpoints):
     return np.array(sums, np.int64), np.array(sqs, np.int64), np.array(dots[1:], np.int64)
 
 
-def bfs_distances(g, source):
-    """Unweighted shortest-path distances from source; -1 for unreachable."""
-    dist = [-1] * g.n
+def neighbor_sets(g):
+    """Per-vertex neighbor sets built from the edge list."""
+    nbrs = [set() for _ in range(g.n)]
+    for i, j in g.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return nbrs
+
+
+def local_clustering(g):
+    """Per-vertex clustering by set lookups; vertices with degree < 2 give 0."""
+    sets = neighbor_sets(g)
+    values = []
+    for nbrs in sets:
+        k = len(nbrs)
+        if k < 2:
+            values.append(0.0)
+            continue
+        links = 0
+        for u in nbrs:
+            # count each neighbor pair once via the smaller adjacency set
+            u_nbrs = sets[u]
+            if len(u_nbrs) < k:
+                links += sum(1 for w in u_nbrs if w in nbrs)
+            else:
+                links += sum(1 for w in nbrs if w in u_nbrs)
+        # every pair counted twice (once from each endpoint)
+        values.append(links / (k * (k - 1)))
+    return values
+
+
+def mean_clustering(g):
+    return sum(local_clustering(g)) / g.n
+
+
+def bfs_distances(sets, source):
+    """Unweighted shortest-path distances from source over neighbor sets; -1 for unreachable."""
+    dist = [-1] * len(sets)
     dist[source] = 0
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for w in g.neighbors(v):
+        for w in sets[v]:
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -219,12 +255,13 @@ def graph_stats(g):
     clustering = mean_clustering(g)
     if n == 1:
         return GraphStats(1, m, 0.0, 0.0, density, clustering)
-    if min(bfs_distances(g, 0)) < 0:
+    sets = neighbor_sets(g)
+    if min(bfs_distances(sets, 0)) < 0:
         return GraphStats(n, m, math.inf, math.inf, density, clustering)
     diameter = 0
     dist_total = 0
     for src in range(n):
-        dist = bfs_distances(g, src)
+        dist = bfs_distances(sets, src)
         for tgt in range(src + 1, n):
             diameter = max(diameter, dist[tgt])
             dist_total += dist[tgt]

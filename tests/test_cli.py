@@ -171,6 +171,30 @@ class TestSweepCommand:
         assert "information unit" in capsys.readouterr().err
         assert not out.exists() and not meta.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_rejects_workers_below_one(self, tmp_path, capsys, workers):
+        out = tmp_path / "grid.csv"
+        assert run(["sweep", "--model", "ws", "--n", "20", "--k", "4", "--p", "0.5",
+                    "--trials", "1", "--tmax", "2", "--mesh", "grid", "--workers", workers,
+                    "--out", out]) == 3
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc,code", [
+        ("[1, 2]", 2), ("[[true, false]]", 2), ("[[0.1]]", 2), ('{"a": 1}', 2),
+        ('[["0.1", 0.2]]', 2), ("[[0.1, 0.2, 0.3]]", 2), ("[[0.1, null]]", 2), ("[[0.1, 0.2], 3]", 2),
+        ("[[1.5, 0.2]]", 3), ("[[0.2, -0.1]]", 3), ("[[NaN, 0.2]]", 3),
+        pytest.param(f"[[{10 ** 400}, 0]]", 3, id="int-past-float-range"),
+    ])
+    def test_rejects_malformed_mesh_file(self, tmp_path, capsys, doc, code):
+        mesh_file, out = tmp_path / "mesh.json", tmp_path / "grid.csv"
+        mesh_file.write_text(doc)
+        assert run(["sweep", "--model", "ws", "--n", "20", "--k", "4", "--p", "0.5",
+                    "--trials", "1", "--tmax", "2", "--mesh", f"file:{mesh_file}", "--out", out]) == code
+        err = capsys.readouterr().err
+        assert ("[g, d] number pairs" if code == 2 else "outside the unit square") in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_unknown_mesh_flag(self, tmp_path):
         assert run(["sweep", "--model", "ws", "--n", "20", "--k", "4", "--p", "0.5",
                     "--mesh", "bogus", "--out", tmp_path / "g.csv"]) == 2

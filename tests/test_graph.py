@@ -6,11 +6,13 @@ import pytest
 
 import mixbiotic.graph as graph_module
 import reference_impl as reference
+from mixbiotic.generators import BaParams, WsParams, generate_network
 from mixbiotic.graph import (
     Graph,
     graph_stats,
     load_graph,
     local_clustering,
+    mean_clustering,
     save_graph,
 )
 
@@ -58,10 +60,21 @@ class TestBuildGraph:
         rng = np.random.default_rng(3)
         for n in (1, 2, 7, 30):
             g = random_graph(rng, n)
-            indptr, indices = g.csr()
+            indptr, indices = g.indptr, g.indices
             assert indptr[0] == 0 and indptr[-1] == 2 * g.edge_count
-            for v in range(n):
-                assert sorted(indices[indptr[v]:indptr[v + 1]].tolist()) == sorted(g.neighbors(v))
+            for v, nbrs in enumerate(reference.neighbor_sets(g)):
+                assert indices[indptr[v]:indptr[v + 1]].tolist() == sorted(nbrs)
+                assert g.degree(v) == len(nbrs)
+
+    def test_arcs_concatenate_the_slices(self):
+        rng = np.random.default_rng(4)
+        g = random_graph(rng, 30)
+        sets = reference.neighbor_sets(g)
+        for size in (0, 1, 5, 60):  # 60 repeats vertices
+            vertices = rng.integers(0, g.n, size=size)
+            slot, nbr = g.arcs(vertices)
+            expected = [(s, w) for s, v in enumerate(vertices.tolist()) for w in sorted(sets[v])]
+            assert list(zip(slot.tolist(), nbr.tolist())) == expected
 
     @pytest.mark.parametrize("n,edges", [
         (3.0, [(0, 1)]), ("3", [(0, 1)]), (True, []),
@@ -100,9 +113,24 @@ class TestGraphStats:
 
     def test_degree_below_two_contributes_zero(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
-        assert local_clustering(g, 3) == 0.0
+        assert local_clustering(g)[3] == 0.0
         # vertex 0 has neighbors {1,2,3}; only (1,2) linked -> 1/3
-        assert local_clustering(g, 0) == pytest.approx(1 / 3)
+        assert local_clustering(g)[0] == pytest.approx(1 / 3)
+
+    def test_clustering_matches_set_oracle(self):
+        rng = np.random.default_rng(15)
+        graphs = [Graph(1, []), Graph(2, []), Graph(2, [(0, 1)]),
+                  Graph(9, [(0, 1), (1, 2), (0, 2), (4, 5)]),  # isolated vertices 3, 6, 7, 8
+                  Graph(501, [(0, i) for i in range(1, 501)])]  # star: the hub has 500 leaves
+        graphs += [random_graph(rng, int(rng.integers(1, 40)), p) for p in (0.1, 0.3, 0.7) for _ in range(20)]
+        graphs += [generate_network(WsParams(n=100, k=4, p=0.7), seed) for seed in range(3)]
+        graphs += [generate_network(BaParams(n=300, n_a=3, k=2), seed) for seed in range(3)]
+        assert any(0 < c < 1 for g in graphs for c in reference.local_clustering(g))
+        for g in graphs:
+            values = local_clustering(g)
+            assert values.dtype == np.float64 and values.shape == (g.n,)
+            assert values.tolist() == reference.local_clustering(g)
+            assert mean_clustering(g) == reference.mean_clustering(g)
 
     def test_mean_distance_bounded_by_diameter(self):
         rng = np.random.default_rng(11)
