@@ -116,6 +116,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.tmax < 1:
+        raise ValueError(f"--tmax must be >= 1 (the measures need two states), got {args.tmax}")
     if args.graph:
         graph = _read(load_graph, args.graph)
         fresh = False

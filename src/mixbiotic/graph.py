@@ -90,6 +90,9 @@ class Graph:
     def from_dict(cls, doc: dict) -> "Graph":
         if not isinstance(doc, dict):
             raise ValueError("graph JSON must be an object with 'n' and 'edges'")
+        for key in ("n", "edges"):
+            if key not in doc:
+                raise ValueError(f"graph JSON has no {key!r} field")
         edges = doc["edges"]
         if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
             raise ValueError("graph 'edges' must be a list of [i, j] pairs")

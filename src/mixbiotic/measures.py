@@ -10,10 +10,13 @@ Per transition q(t) -> q(t+1) of an n-dimensional state with unit u:
 The measures are unit-free. Both producers (the simulation and event
 logs) hold q = u * c with integer unit counts c, so u cancels exactly:
 I = |sum(c_next) - sum(c_prev)| / n, L = ||c_next - c_prev|| / sqrt(n),
-and L_R and S do not change when both vectors are scaled. The series
-functions therefore take the counts themselves, and every measure follows
-from three integer series per state: sum(c), sum(c^2) and the dot product
-with the next state.
+and L_R and S do not change when both vectors are scaled. Every measure
+is computed one way: three int64 series per state (sum(c), sum(c^2) and
+the dot product with the next state) go into ``_transitions``, and a
+(mean, variance) fold turns its four arrays into a ``MeasureSet`` in
+``_measure_set``. ``series_measures`` (simulation histories) and
+``datasets.dataset_measures`` (event logs) differ only in how they build
+the three series and in the fold.
 
 Zero-vector conventions: S = 0 if either vector is zero; L_R = 0 if
 q_next is zero. Dead series therefore score near zero instead of
@@ -28,7 +31,9 @@ composite phase measures:
   m_mob  = mu_L      (large pattern displacement)
 
 Polar trajectory coordinates per state: r = ||q||, theta = angle between
-q and the all-ones vector; the zero vector maps to (0, 0).
+q and the all-ones vector; the zero vector maps to (0, 0). ``_polar``
+computes each point from sum(q), sum(q^2) and n, for ``trajectory`` and
+``datasets.dataset_trajectory`` alike.
 """
 
 from __future__ import annotations
@@ -40,14 +45,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class DeltaMeasures:
-    info_change: float
-    euclid: float
-    rel_change: float
-    cos_sim: float
 
 
 class PolarPoint(NamedTuple):
@@ -72,23 +69,6 @@ class MeasureSet:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_moments(
-        cls,
-        mu_I: float, var_I: float,
-        mu_L: float, var_L: float,
-        mu_LR: float, var_LR: float,
-        mu_S: float, var_S: float,
-        delta_count: int,
-    ) -> "MeasureSet":
-        """Build from series moments; composites derived exactly."""
-        return cls(
-            mu_I=mu_I, var_I=var_I, mu_L=mu_L, var_L=var_L,
-            mu_LR=mu_LR, var_LR=var_LR, mu_S=mu_S, var_S=var_S,
-            m_atom=var_LR, m_mix=mu_S * var_S, m_mob=mu_L,
-            delta_count=delta_count,
-        )
 
 
 def save_measures(ms: MeasureSet, path) -> None:
@@ -133,36 +113,13 @@ def average_measures(sets: Sequence[MeasureSet]) -> MeasureSet:
     return MeasureSet(**out)
 
 
-def delta_measures(q_prev: np.ndarray, q_next: np.ndarray, n: int, u: float) -> DeltaMeasures:
-    """Per-transition measures between two information vectors."""
-    q_prev = np.asarray(q_prev, dtype=np.float64)
-    q_next = np.asarray(q_next, dtype=np.float64)
-    if len(q_prev) != n or len(q_next) != n:
-        raise ValueError(f"vectors must have dimension {n}")
-    if u <= 0:
-        raise ValueError(f"information unit must be positive, got {u}")
-    diff = q_next - q_prev
-    dist = float(np.linalg.norm(diff))
-    sq_next = float(np.dot(q_next, q_next))
-    sq_prev = float(np.dot(q_prev, q_prev))
-    info = abs(float(q_next.sum()) - float(q_prev.sum())) / (n * u)
-    euclid = dist / (math.sqrt(n) * u)
-    rel = dist / math.sqrt(sq_next) if sq_next > 0 else 0.0
-    if sq_next > 0 and sq_prev > 0:
-        # sqrt of the product keeps cos exactly 1 for identical unit-count vectors
-        cos = float(np.dot(q_next, q_prev)) / math.sqrt(sq_next * sq_prev)
-        cos = min(max(cos, 0.0), 1.0)  # clamp fp noise; entries are non-negative
-    else:
-        cos = 0.0
-    return DeltaMeasures(info, euclid, rel, cos)
-
-
 def _transitions(sums, sqs, dots, n: int) -> tuple[np.ndarray, ...]:
     """The four per-transition measures (I, L, L_R, S) from count series.
 
     ``sums[t]`` and ``sqs[t]`` are Σc and Σc² of state t, ``dots[t]`` is
     Σc_t·c_{t+1}; all int64, so dist² = Σc²_{t+1} + Σc²_t − 2·dot is exact.
-    Each value equals ``delta_measures(c_t, c_{t+1}, n, 1.0)`` bit for bit.
+    The only implementation of the four measures; it equals the per-pair
+    float oracle in ``tests/reference_impl.py`` bit for bit.
     """
     sq = sqs.astype(np.float64)
     dist = sqs[1:] + sqs[:-1]
@@ -171,17 +128,21 @@ def _transitions(sums, sqs, dots, n: int) -> tuple[np.ndarray, ...]:
     info = np.abs(np.diff(sums)) / n
     euclid = dist / math.sqrt(n)
     rel = np.divide(dist, np.sqrt(sq[1:]), out=np.zeros_like(dist), where=sq[1:] > 0)
+    # sqrt of the product keeps cos exactly 1 for identical vectors
     denom = np.sqrt(sq[1:] * sq[:-1])
     cos = np.divide(dots, denom, out=np.zeros_like(dist), where=denom > 0)
-    np.clip(cos, 0.0, 1.0, out=cos)
+    np.clip(cos, 0.0, 1.0, out=cos)  # clamp fp noise; counts are non-negative
     return info, euclid, rel, cos
 
 
 def _measure_set(transitions, moments) -> MeasureSet:
-    """MeasureSet from the four per-transition arrays and a (mean, var) fold."""
+    """MeasureSet from the four per-transition arrays and a (mean, var) fold;
+    the three composites are derived here and nowhere else."""
     (mu_i, var_i), (mu_l, var_l), (mu_lr, var_lr), (mu_s, var_s) = map(moments, transitions)
-    return MeasureSet.from_moments(
-        mu_i, var_i, mu_l, var_l, mu_lr, var_lr, mu_s, var_s,
+    return MeasureSet(
+        mu_I=mu_i, var_I=var_i, mu_L=mu_l, var_L=var_l,
+        mu_LR=mu_lr, var_LR=var_lr, mu_S=mu_s, var_S=var_s,
+        m_atom=var_lr, m_mix=mu_s * var_s, m_mob=mu_l,
         delta_count=len(transitions[0]),
     )
 
@@ -225,15 +186,11 @@ def _polar(total: float, sq: float, n: int) -> PolarPoint:
     return PolarPoint(math.sqrt(sq), math.acos(min(max(c, -1.0), 1.0)))
 
 
-def polar_point(q: np.ndarray) -> PolarPoint:
-    """Magnitude and declination from the all-ones direction for one state."""
-    q = np.asarray(q, dtype=np.float64)
-    return _polar(float(q.sum()), float(np.dot(q, q)), len(q))
-
-
 def trajectory(trace) -> list[PolarPoint]:
     """Polar coordinates of every state in time order."""
     trace = np.asarray(trace, dtype=np.float64)
     if trace.ndim != 2 or trace.shape[0] == 0:
         raise ValueError("trace must be a nonempty sequence of vectors")
-    return [polar_point(row) for row in trace]
+    # per-row np.dot: a vectorised row dot (einsum, (t*t).sum(axis=1)) differs in the last bits
+    n = trace.shape[1]
+    return [_polar(float(row.sum()), float(np.dot(row, row)), n) for row in trace]

@@ -191,9 +191,14 @@ def load_trace(path) -> tuple[np.ndarray, float | None]:
     path = str(path)
     with open(path) as fh:
         head = fh.read(1)
+    if not head:
+        raise ValueError(f"trace file {path} is empty")
     if head == "{":
         with open(path) as fh:
             doc = json.load(fh)
+        for key in ("n", "u", "rows"):
+            if key not in doc:
+                raise ValueError(f"sparse trace JSON has no {key!r} field")
         check_unit(doc["u"])
         return _sparse_states(doc["n"], doc["rows"]), float(doc["u"])
     with open(path, newline="") as fh:
@@ -207,6 +212,8 @@ def load_trace(path) -> tuple[np.ndarray, float | None]:
             if len(row) != n + 1:
                 raise ValueError(f"trace row length {len(row)} != {n + 1}")
             data.append([float(v) for v in row[1:]])
+    if not data:
+        raise ValueError("dense trace CSV has a header but no rows")
     states = np.asarray(data, dtype=np.float64)
     if not np.isfinite(states).all() or (states < 0).any():
         raise ValueError("trace values must be finite and non-negative")
@@ -221,8 +228,8 @@ def _sparse_states(n, rows) -> np.ndarray:
     """Dense states of a sparse document's rows, with every field type-checked."""
     if type(n) is not int or n < 0:
         raise ValueError(f"sparse trace 'n' must be a non-negative integer, got {n!r}")
-    if not isinstance(rows, list):
-        raise ValueError("sparse trace 'rows' must be a list")
+    if not isinstance(rows, list) or not rows:
+        raise ValueError("sparse trace 'rows' must be a nonempty list")
     states = np.zeros((len(rows), n), dtype=np.float64)
     for k, row in enumerate(rows):
         if not isinstance(row, dict) or not isinstance(row.get("nz"), list):

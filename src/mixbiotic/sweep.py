@@ -98,6 +98,8 @@ class SweepConfig:
         self.network.validate()
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.t_max < 1:
+            raise ValueError(f"t_max (--tmax) must be >= 1 (the measures need two states), got {self.t_max}")
         if not (0.0 < self.nihilism_threshold < 1.0):
             raise ValueError(
                 f"nihilism threshold must be in (0,1), got {self.nihilism_threshold}"

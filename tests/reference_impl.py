@@ -13,6 +13,11 @@ snapshots in dicts and run one Python BFS per source. The graph oracles
 build per-vertex neighbor sets from ``g.edges`` and count clustering links
 by set lookups. The library versions work on int64 columns, a block BFS
 over CSR arrays and sorted arc keys; both must give exactly equal results.
+
+The measure oracle ``delta_measures`` scores one transition at a time
+from two float vectors and the unit u. The library scores every
+transition of a series at once from three int64 count series in
+``measures._transitions``; with u = 1 both must give exactly equal values.
 """
 
 import csv
@@ -266,3 +271,27 @@ def graph_stats(g):
             diameter = max(diameter, dist[tgt])
             dist_total += dist[tgt]
     return GraphStats(n, m, float(diameter), dist_total / (n * (n - 1) // 2), density, clustering)
+
+
+def delta_measures(q_prev, q_next, n, u):
+    """Per-transition measures (I, L, L_R, S) between two information vectors."""
+    q_prev = np.asarray(q_prev, dtype=np.float64)
+    q_next = np.asarray(q_next, dtype=np.float64)
+    if len(q_prev) != n or len(q_next) != n:
+        raise ValueError(f"vectors must have dimension {n}")
+    if u <= 0:
+        raise ValueError(f"information unit must be positive, got {u}")
+    diff = q_next - q_prev
+    dist = float(np.linalg.norm(diff))
+    sq_next = float(np.dot(q_next, q_next))
+    sq_prev = float(np.dot(q_prev, q_prev))
+    info = abs(float(q_next.sum()) - float(q_prev.sum())) / (n * u)
+    euclid = dist / (math.sqrt(n) * u)
+    rel = dist / math.sqrt(sq_next) if sq_next > 0 else 0.0
+    if sq_next > 0 and sq_prev > 0:
+        # sqrt of the product keeps cos exactly 1 for identical unit-count vectors
+        cos = float(np.dot(q_next, q_prev)) / math.sqrt(sq_next * sq_prev)
+        cos = min(max(cos, 0.0), 1.0)  # clamp fp noise; entries are non-negative
+    else:
+        cos = 0.0
+    return info, euclid, rel, cos

@@ -17,7 +17,7 @@ from mixbiotic.cli import main as cli_main
 from mixbiotic.datasets import FormatConfig, aggregate_graph, dataset_measures, parse_events
 from mixbiotic.generators import BaParams, WsParams, generate_ba, generate_ws
 from mixbiotic.graph import Graph, graph_stats
-from mixbiotic.measures import delta_measures, polar_point, series_measures
+from mixbiotic.measures import _transitions, series_measures, trajectory
 from mixbiotic.simulation import SimConfig, init_state, run_sim, sim_step
 from mixbiotic.sweep import MeshSpec, SweepConfig, build_mesh, run_sweep
 
@@ -297,9 +297,10 @@ def test_criterion_7_oracles_and_invariants():
         n = int(rng.integers(1, 7))
         q_prev = [float(rng.integers(0, 4)) for _ in range(n)]
         q_next = [float(rng.integers(0, 4)) for _ in range(n)]
-        dm = delta_measures(q_prev, q_next, n, 1.0)
+        c = np.asarray([q_prev, q_next], dtype=np.int64)
+        dots = (c[1:] * c[:-1]).sum(axis=1)
+        got = [float(a[0]) for a in _transitions(c.sum(axis=1), (c * c).sum(axis=1), dots, n)]
         want = _oracle_delta(q_prev, q_next, n, 1.0)
-        got = (dm.info_change, dm.euclid, dm.rel_change, dm.cos_sim)
         if any(abs(a - b) > 1e-12 for a, b in zip(got, want)):
             failures.append(f"delta mismatch at {q_prev}->{q_next}")
             break
@@ -308,7 +309,7 @@ def test_criterion_7_oracles_and_invariants():
         if abs(ms.mu_I - want[0]) > 1e-12 or abs(ms.mu_S - want[3]) > 1e-12:
             failures.append("series mean mismatch")
             break
-        pp = polar_point(q_next)
+        pp = trajectory([q_next])[0]
         sq = sum(v * v for v in q_next)
         want_r = math.sqrt(sq)
         want_theta = math.acos(min(sum(q_next) / math.sqrt(sq * n), 1.0)) if sq else 0.0

@@ -124,19 +124,35 @@ class TestSimulate:
         assert "information unit" in capsys.readouterr().err
         assert not out.exists() and not ms.exists()
 
-    @pytest.mark.parametrize("doc", [
-        '{"n": 3, "edges": [[0, 1.5]]}',
-        '{"n": 3.5, "edges": [[0, 1]]}',
-        '{"n": "3", "edges": [[0, 1]]}',
-        '[1, 2]',
-        '{"n": 3, "edges": [[true, 2]]}',
-    ], ids=["float-endpoint", "float-n", "string-n", "not-an-object", "bool-endpoint"])
-    def test_rejects_malformed_graph(self, tmp_path, capsys, doc):
+    @pytest.mark.parametrize("doc, message", [
+        ('{"n": 3, "edges": [[0, 1.5]]}', "endpoints must be integers"),
+        ('{"n": 3.5, "edges": [[0, 1]]}', "vertex count must be an integer"),
+        ('{"n": "3", "edges": [[0, 1]]}', "vertex count must be an integer"),
+        ('[1, 2]', "graph JSON must be an object"),
+        ('{"n": 3, "edges": [[true, 2]]}', "endpoints must be integers"),
+        ('{"edges": [[0, 1]]}', "graph JSON has no 'n' field"),
+        ('{"n": 3}', "graph JSON has no 'edges' field"),
+    ], ids=["float-endpoint", "float-n", "string-n", "not-an-object", "bool-endpoint", "missing-n",
+            "missing-edges"])
+    def test_rejects_malformed_graph(self, tmp_path, capsys, doc, message):
         graph = tmp_path / "g.json"
         graph.write_text(doc)
         assert run(["simulate", "--graph", graph, "--g", "0.5", "--d", "0.3", "--tmax", "3",
                     "--n0", "1"]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--tmax", "0"), ("--tmax", "-2")])
+    def test_rejects_empty_run_flags_before_work(self, tmp_path, capsys, flag, value):
+        out, ms = tmp_path / "t.csv", tmp_path / "ms.json"
+        args = {"--trials": "1", "--tmax": "3", flag: value}
+        assert run(["simulate", "--model", "ws", "--n", "20", "--k", "4", "--p", "0.5",
+                    "--g", "0.5", "--d", "0.3", "--n0", "2", "--out", out, "--measures", ms,
+                    *[x for kv in args.items() for x in kv]]) == 3
+        err = capsys.readouterr().err
+        assert f"{flag} must be >= 1" in err
+        assert "config simulate" not in err
+        assert not out.exists() and not ms.exists()
 
 
 class TestSweepCommand:
@@ -170,6 +186,13 @@ class TestSweepCommand:
                     "--out", out, "--meta", meta]) == 3
         assert "information unit" in capsys.readouterr().err
         assert not out.exists() and not meta.exists()
+
+    def test_rejects_tmax_below_one(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert run(["sweep", "--model", "ws", "--n", "20", "--k", "4", "--p", "0.5",
+                    "--trials", "1", "--tmax", "0", "--mesh", "grid", "--out", out]) == 3
+        assert "--tmax) must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_rejects_workers_below_one(self, tmp_path, capsys, workers):
@@ -276,33 +299,42 @@ class TestTrajectory:
                         "--out", tmp_path / f"polar_{ext}.csv"]) == 0
         assert (tmp_path / "polar_json.csv").read_bytes() == (tmp_path / "polar_csv.csv").read_bytes()
 
-    @pytest.mark.parametrize("name, text", [
-        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[-1, 2.0]]}]}'),
-        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[5, 2.0]]}]}'),
-        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[1.5, 2.0]]}]}'),
-        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[1, -2.0]]}]}'),
-        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[1, Infinity]]}]}'),
-        ("trace.csv", "t,q_0,q_1\n0,1.0,nan\n"),
-        ("trace.csv", "t,q_0,q_1\n0,1.0,-1.0\n"),
-        ("trace.csv", "t,q_0,q_1\n0,inf,1.0\n"),
-        ("trace.json", '{"n": "3", "u": 1.0, "rows": [{"t": 0, "nz": [[1, 2.0]]}]}'),
-        ("trace.json", '{"n": 1.5, "u": 1.0, "rows": [{"t": 0, "nz": [[0, 2.0]]}]}'),
-        ("trace.json", '{"n": true, "u": 1.0, "rows": [{"t": 0, "nz": [[0, 2.0]]}]}'),
-        ("trace.json", '{"n": 3, "u": 1.0, "rows": 5}'),
-        ("trace.json", '{"n": 3, "u": 1.0, "rows": [[0, [[1, 2.0]]]]}'),
-        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": 5}]}'),
-        ("trace.json", '{"n": 3, "u": null, "rows": [{"t": 0, "nz": [[1, 2.0]]}]}'),
-        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[0, "1"]]}]}'),
-        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[0, 1%s]]}]}' % ("0" * 400)),
-        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": []}, {"t": true, "nz": []}]}'),
+    @pytest.mark.parametrize("name, text, message", [
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[-1, 2.0]]}]}', "index -1"),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[5, 2.0]]}]}', "index 5"),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[1.5, 2.0]]}]}', "index 1.5"),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[1, -2.0]]}]}', "value -2.0"),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[1, Infinity]]}]}', "value inf"),
+        ("trace.csv", "t,q_0,q_1\n0,1.0,nan\n", "finite and non-negative"),
+        ("trace.csv", "t,q_0,q_1\n0,1.0,-1.0\n", "finite and non-negative"),
+        ("trace.csv", "t,q_0,q_1\n0,inf,1.0\n", "finite and non-negative"),
+        ("trace.json", '{"n": "3", "u": 1.0, "rows": [{"t": 0, "nz": [[1, 2.0]]}]}', "'n' must be"),
+        ("trace.json", '{"n": 1.5, "u": 1.0, "rows": [{"t": 0, "nz": [[0, 2.0]]}]}', "'n' must be"),
+        ("trace.json", '{"n": true, "u": 1.0, "rows": [{"t": 0, "nz": [[0, 2.0]]}]}', "'n' must be"),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": 5}', "'rows' must be"),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [[0, [[1, 2.0]]]]}', "row 0 must be"),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": 5}]}', "row 0 must be"),
+        ("trace.json", '{"n": 3, "u": null, "rows": [{"t": 0, "nz": [[1, 2.0]]}]}', "information unit"),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[0, "1"]]}]}', "value '1'"),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[0, 1%s]]}]}' % ("0" * 400), "value 1000"),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": []}, {"t": true, "nz": []}]}', "out of order"),
+        ("trace.csv", "", "is empty"),
+        ("trace.csv", "t,q_0,q_1\n", "no rows"),
+        ("trace.json", '{"n": 3, "u": 1.0, "rows": []}', "'rows' must be a nonempty list"),
+        ("trace.json", '{"u": 1.0, "rows": [{"t": 0, "nz": []}]}', "sparse trace JSON has no 'n' field"),
+        ("trace.json", '{"n": 3, "rows": [{"t": 0, "nz": []}]}', "sparse trace JSON has no 'u' field"),
+        ("trace.json", '{"n": 3, "u": 1.0}', "sparse trace JSON has no 'rows' field"),
     ], ids=["negative-index", "index-past-n", "fractional-index", "negative-q-json",
             "inf-q-json", "nan-q-csv", "negative-q-csv", "inf-q-csv", "string-n", "float-n",
             "bool-n", "int-rows", "list-row", "int-nz", "null-u", "string-q", "401-digit-q",
-            "bool-t"])
-    def test_rejects_malformed_trace(self, tmp_path, name, text):
+            "bool-t", "empty-file", "header-only-csv", "no-rows-json", "missing-n", "missing-u",
+            "missing-rows"])
+    def test_rejects_malformed_trace(self, tmp_path, capsys, name, text, message):
         trace = tmp_path / name
         trace.write_text(text)
         assert run(["trajectory", "--trace", trace, "--out", tmp_path / "polar.csv"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "polar.csv").exists()
 
 

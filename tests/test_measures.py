@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import reference_impl as reference
 from mixbiotic.datasets import _welford
 from mixbiotic.measures import (
     MeasureSet,
     _measure_set,
+    _polar,
     _transitions,
     average_measures,
-    delta_measures,
     load_measures,
-    polar_point,
     save_measures,
     series_measures,
     trajectory,
@@ -63,48 +65,53 @@ def count_series(states):
     return c.sum(axis=1), (c * c).sum(axis=1), (c[1:] * c[:-1]).sum(axis=1)
 
 
+def kernel(states):
+    """(I, L, L_R, S) of every transition of a count history, as float lists."""
+    n = len(states[0])
+    return [a.tolist() for a in _transitions(*count_series(states), n)]
+
+
+def transition(q_prev, q_next):
+    """(I, L, L_R, S) of one transition through the library kernel."""
+    return tuple(col[0] for col in kernel([q_prev, q_next]))
+
+
+# (steps, n) non-negative count histories, zero rows included
+HISTORIES = st.tuples(st.integers(2, 8), st.integers(1, 8)).flatmap(
+    lambda shape: hnp.arrays(np.int64, shape, elements=st.integers(0, 1000)))
+
+
 # ---------------------------------------------------------------------------
 # per-transition measures
 # ---------------------------------------------------------------------------
 
 class TestDeltaMeasures:
     def test_worked_example(self):
-        dm = delta_measures([1, 0, 2, 0], [1, 1, 2, 0], 4, 1.0)
-        assert dm.info_change == pytest.approx(0.25, abs=1e-15)
-        assert dm.euclid == pytest.approx(0.5, abs=1e-15)
-        assert dm.rel_change == pytest.approx(1 / math.sqrt(6), abs=1e-12)
-        assert dm.cos_sim == pytest.approx(5 / math.sqrt(30), abs=1e-12)
+        info, euclid, rel, cos = transition([1, 0, 2, 0], [1, 1, 2, 0])
+        assert info == pytest.approx(0.25, abs=1e-15)
+        assert euclid == pytest.approx(0.5, abs=1e-15)
+        assert rel == pytest.approx(1 / math.sqrt(6), abs=1e-12)
+        assert cos == pytest.approx(5 / math.sqrt(30), abs=1e-12)
 
     def test_identical_vectors(self):
-        dm = delta_measures([1, 1], [1, 1], 2, 1.0)
-        assert (dm.info_change, dm.euclid, dm.rel_change) == (0, 0, 0)
-        assert dm.cos_sim == 1.0
+        info, euclid, rel, cos = transition([1, 1], [1, 1])
+        assert (info, euclid, rel) == (0, 0, 0)
+        assert cos == 1.0
 
     def test_zero_vector_conventions(self):
-        dm = delta_measures([0, 0], [0, 0], 2, 1.0)
-        assert (dm.info_change, dm.euclid, dm.rel_change, dm.cos_sim) == (0, 0, 0, 0)
+        assert transition([0, 0], [0, 0]) == (0, 0, 0, 0)
         # rel_change divides by the next state only
-        assert delta_measures([1, 1], [0, 0], 2, 1.0).rel_change == 0.0
-        assert delta_measures([0, 0], [1, 1], 2, 1.0).cos_sim == 0.0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            delta_measures([1, 0], [1, 0, 0], 2, 1.0)
-        with pytest.raises(ValueError):
-            delta_measures([1, 0], [1, 1], 2, 0.0)
+        assert transition([1, 1], [0, 0])[2] == 0.0
+        assert transition([0, 0], [1, 1])[3] == 0.0
 
     def test_oracle_equivalence_1000_random_vectors(self):
         rng = np.random.default_rng(101)
         for _ in range(1000):
             n = int(rng.integers(1, 7))
             q_prev, q_next = random_state(rng, n), random_state(rng, n)
-            u = float(rng.choice([0.5, 1.0, 2.0]))
-            dm = delta_measures(q_prev, q_next, n, u)
-            info, euclid, rel, cos = oracle_delta(q_prev, q_next, n, u)
-            assert dm.info_change == pytest.approx(info, abs=1e-12)
-            assert dm.euclid == pytest.approx(euclid, abs=1e-12)
-            assert dm.rel_change == pytest.approx(rel, abs=1e-12)
-            assert dm.cos_sim == pytest.approx(cos, abs=1e-12)
+            got = transition(q_prev, q_next)
+            for have, want in zip(got, oracle_delta(q_prev, q_next, n, 1.0)):
+                assert have == pytest.approx(want, abs=1e-12)
 
     def test_kernel_matches_scalar_exactly(self):
         # the golden output hashes rely on the count kernel reproducing the
@@ -116,40 +123,40 @@ class TestDeltaMeasures:
             counts[rng.random(len(counts)) < 0.3] = 0  # all-zero rows
             got = _transitions(*count_series(counts), n)
             for t in range(len(counts) - 1):
-                want = delta_measures(counts[t], counts[t + 1], n, 1.0)
-                assert [float(a[t]) for a in got] == [
-                    want.info_change, want.euclid, want.rel_change, want.cos_sim]
+                want = reference.delta_measures(counts[t], counts[t + 1], n, 1.0)
+                assert [float(a[t]) for a in got] == list(want)
 
     def test_symmetry_and_relative_asymmetry(self):
         q_a, q_b = [1, 0, 2, 0], [1, 1, 2, 0]
-        ab, ba = delta_measures(q_a, q_b, 4, 1.0), delta_measures(q_b, q_a, 4, 1.0)
-        assert ab.info_change == ba.info_change
-        assert ab.euclid == ba.euclid
-        assert ab.cos_sim == ba.cos_sim
-        assert ab.rel_change != ba.rel_change  # denominator is the next state
+        (i_ab, l_ab, lr_ab, s_ab), (i_ba, l_ba, lr_ba, s_ba) = transition(q_a, q_b), transition(q_b, q_a)
+        assert i_ab == i_ba
+        assert l_ab == l_ba
+        assert s_ab == s_ba
+        assert lr_ab != lr_ba  # denominator is the next state
 
-    def test_scale_covariance(self):
-        rng = np.random.default_rng(77)
-        for _ in range(100):
-            n = int(rng.integers(1, 6))
-            q_prev, q_next = random_state(rng, n), random_state(rng, n)
-            c = float(rng.choice([2.0, 0.5, 3.0]))
-            base = delta_measures(q_prev, q_next, n, 1.0)
-            scaled = delta_measures([c * v for v in q_prev], [c * v for v in q_next], n, c * 1.0)
-            assert scaled.info_change == pytest.approx(base.info_change, abs=1e-12)
-            assert scaled.euclid == pytest.approx(base.euclid, abs=1e-12)
-            # direction measures ignore joint scaling even with u fixed
-            scaled_u1 = delta_measures([c * v for v in q_prev], [c * v for v in q_next], n, 1.0)
-            assert scaled_u1.rel_change == pytest.approx(base.rel_change, abs=1e-12)
-            assert scaled_u1.cos_sim == pytest.approx(base.cos_sim, abs=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(counts=HISTORIES)
+    def test_bounds(self, counts):
+        info, euclid, rel, cos = kernel(counts)
+        for t in range(len(counts) - 1):
+            assert 0.0 <= cos[t] <= 1.0
+            assert rel[t] >= 0.0
+            assert euclid[t] >= info[t] - 1e-12  # Cauchy-Schwarz
 
-    def test_bounds(self):
-        rng = np.random.default_rng(88)
-        for _ in range(300):
-            n = int(rng.integers(1, 7))
-            dm = delta_measures(random_state(rng, n), random_state(rng, n), n, 1.0)
-            assert 0.0 <= dm.cos_sim <= 1.0
-            assert dm.euclid >= dm.info_change - 1e-12  # Cauchy-Schwarz
+    @settings(max_examples=200, deadline=None)
+    @given(counts=HISTORIES, c=st.sampled_from([2, 3]), data=st.data())
+    def test_scale_covariance(self, counts, c, data):
+        info, euclid, rel, cos = kernel(counts)
+        # the three series are exact int64 sums, so a vertex permutation
+        # leaves every measure bit for bit unchanged
+        perm = data.draw(st.permutations(range(counts.shape[1])))
+        assert kernel(counts[:, perm]) == [info, euclid, rel, cos]
+        # scaling every count by c scales I and L by c; S and L_R ignore it
+        s_info, s_euclid, s_rel, s_cos = kernel(c * counts)
+        assert s_info == pytest.approx([c * v for v in info], rel=1e-12, abs=1e-12)
+        assert s_euclid == pytest.approx([c * v for v in euclid], rel=1e-12, abs=1e-12)
+        assert s_rel == pytest.approx(rel, rel=1e-12, abs=1e-12)
+        assert s_cos == pytest.approx(cos, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +237,10 @@ class TestSeriesMeasures:
                 assert getattr(streamed, name) == pytest.approx(getattr(whole, name), abs=1e-9)
 
     def test_average_measures_in_trial_order(self):
-        a = MeasureSet.from_moments(1, 0, 2, 0, 3, 0, 0.5, 0.1, delta_count=4)
-        b = MeasureSet.from_moments(3, 2, 4, 2, 5, 2, 1.0, 0.3, delta_count=4)
+        a = MeasureSet(mu_I=1, var_I=0, mu_L=2, var_L=0, mu_LR=3, var_LR=0, mu_S=0.5, var_S=0.1,
+                       m_atom=0, m_mix=0.5 * 0.1, m_mob=2, delta_count=4)
+        b = MeasureSet(mu_I=3, var_I=2, mu_L=4, var_L=2, mu_LR=5, var_LR=2, mu_S=1.0, var_S=0.3,
+                       m_atom=2, m_mix=1.0 * 0.3, m_mob=4, delta_count=4)
         avg = average_measures([a, b])
         assert avg.mu_I == 2.0
         assert avg.mu_S == 0.75
@@ -248,24 +257,24 @@ class TestSeriesMeasures:
 class TestTrajectory:
     def test_all_ones_lies_on_axis(self):
         for n in (1, 3, 9):
-            p = polar_point([1.0] * n)
+            p = trajectory([[1.0] * n])[0]
             assert p.r == pytest.approx(math.sqrt(n), abs=1e-12)
             assert p.theta == pytest.approx(0.0, abs=1e-7)
 
     def test_single_coordinate(self):
-        p = polar_point([1, 0, 0, 0])
+        p = trajectory([[1, 0, 0, 0]])[0]
         assert p.r == 1.0
         assert p.theta == pytest.approx(math.pi / 3, abs=1e-12)
 
     def test_zero_vector_convention(self):
-        assert polar_point([0, 0, 0]) == (0.0, 0.0)
+        assert trajectory([[0, 0, 0]])[0] == (0.0, 0.0)
 
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(404)
         for _ in range(1000):
             n = int(rng.integers(1, 7))
             q = random_state(rng, n)
-            p = polar_point(q)
+            p = trajectory([q])[0]
             r, theta = oracle_polar(q)
             assert p.r == pytest.approx(r, abs=1e-12)
             assert p.theta == pytest.approx(theta, abs=1e-12)
@@ -277,8 +286,17 @@ class TestTrajectory:
             q = random_state(rng, n)
             if not any(q):
                 continue
-            p = polar_point(q)
+            p = trajectory([q])[0]
             assert -1e-12 <= p.theta <= math.acos(1 / math.sqrt(n)) + 1e-12
+
+    def test_rows_match_per_row_dot_exactly(self):
+        # trajectory --out bytes depend on these bits: a vectorised row dot
+        # (einsum or (t*t).sum(axis=1)) rounds differently on u-scaled traces
+        rng = np.random.default_rng(606)
+        for n in (3, 7, 100, 1000):
+            trace = 0.1 * rng.integers(0, 9, size=(20, n))
+            want = [_polar(float(row.sum()), float(np.dot(row, row)), n) for row in trace]
+            assert trajectory(trace) == want
 
     def test_trace_mapping(self):
         points = trajectory([[0, 0], [1, 0], [1, 1]])
@@ -288,9 +306,13 @@ class TestTrajectory:
             trajectory(np.empty((0, 3)))
 
 
+SAMPLE = MeasureSet(mu_I=0.1, var_I=0.2, mu_L=0.3, var_L=0.4, mu_LR=0.5, var_LR=0.6, mu_S=0.7,
+                    var_S=0.8, m_atom=0.6, m_mix=0.7 * 0.8, m_mob=0.3, delta_count=9)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        ms = MeasureSet.from_moments(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, delta_count=9)
+        ms = SAMPLE
         path = tmp_path / "ms.json"
         save_measures(ms, path)
         assert load_measures(path) == ms
@@ -300,7 +322,7 @@ class TestSerialization:
         ("mu_L", "1" + "0" * 400), ("m_mob", "-0.5"), ("mu_S", "null"),
     ])
     def test_rejects_non_numbers(self, tmp_path, field, text):
-        ms = MeasureSet.from_moments(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, delta_count=9)
+        ms = SAMPLE
         fields = ", ".join(f'"{k}": {text if k == field else v}' for k, v in ms.to_dict().items())
         path = tmp_path / "ms.json"
         path.write_text("{" + fields + "}")
