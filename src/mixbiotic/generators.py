@@ -115,14 +115,20 @@ def generate_ba(params: BaParams, seed: int) -> Graph:
 
     Starts from a complete graph on n_a vertices. Each new vertex picks k
     distinct existing targets by sequential weighted draws with removal:
-    one ``random()`` per draw selects a target with probability
+    one uniform double per draw selects a target with probability
     proportional to its current degree (degrees as of the start of this
     vertex's arrival, minus already-chosen targets). Final edge count is
     n_a*(n_a-1)/2 + k*(n-n_a).
+
+    Stream consumption: every run makes exactly k*(n-n_a) draws, so their
+    doubles come from one ``random(k * (n - n_a))`` call, consumed in
+    draw order; it yields the same doubles as one scalar ``random()`` per
+    draw.
     """
     params.validate()
     n, n_a, k = params.n, params.n_a, params.k
     rng = np.random.default_rng(_seed_to_uint64(seed))
+    doubles = iter(rng.random(k * (n - n_a)).tolist())
     edges = [(i, j) for i in range(n_a) for j in range(i + 1, n_a)]
     degree = [n_a - 1] * n_a + [0] * (n - n_a)
     for v in range(n_a, n):
@@ -132,7 +138,7 @@ def generate_ba(params: BaParams, seed: int) -> Graph:
             # integer partial sums: exact, so the float draw compares as it
             # would against float64 cumulative weights
             cum = list(accumulate(weights))
-            r = rng.random() * cum[-1]
+            r = next(doubles) * cum[-1]
             t = bisect_right(cum, r)
             if t >= v:  # guard against r landing exactly on the total
                 t = v - 1

@@ -16,11 +16,26 @@ One step:
 
 Round is round-half-away-from-zero. RNG stream order is part of the
 reproducibility contract: the seed-selection of the initial informed set,
-then per step senders, receivers, erasures. A selection of k takes the
-k swap indices of a partial Fisher-Yates shuffle from one broadcast
-``integers(np.arange(k), m)`` call, which consumes the stream exactly as
-k scalar ``integers(i, m)`` calls in order would; empty selections
-consume nothing.
+then per step senders, receivers, erasures. A selection of k from m takes
+the k swap indices j_i of a partial Fisher-Yates shuffle from a
+``WordSource``, which turns raw PCG64 words into exactly the values and
+stream of one broadcast ``Generator.integers(np.arange(k), m)`` call, that
+is, of k scalar ``integers(i, m)`` calls in order. Each draw takes one
+32-bit half h of a word, the low half first; a half left over is carried
+to the next selection, as PCG64's ``has_uint32``/``uinteger`` buffer does.
+Draw i has the range r = m - i and gives j_i = i + (h * r >> 32) (Lemire
+2019, "Fast random integer generation in an interval", ACM TOMACS 29(1));
+it is drawn again from the next half when the low 32 bits of h * r fall
+below (2**32 - r) mod r. A range of 1 (i = m - 1) returns i and consumes
+no half, and empty selections consume nothing.
+
+``run_sim`` stops stepping once Round[g * n_inf] and Round[d * n_inf] are
+both zero, extinction (n_inf = 0) included, and repeats the counts in
+every later history row. With no sender there is no delivery, so the
+support stays the informed set and nothing is erased: the step leaves the
+state, and so n_inf and both counts, as they were. The draws the skipped
+steps would have made come from the run's private generator, which is
+discarded, so no row changes.
 
 Delivery gathers every arc leaving a sender with ``Graph.arcs``, keeps
 the arcs that end on a receiver, and adds one unit to that receiver per
@@ -46,19 +61,108 @@ import numpy as np
 
 from .graph import Graph
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+_WORDS_AHEAD = 256  # raw words read per block
+
 
 def round_half_away(x: float) -> int:
     """Round to nearest integer, halves away from zero."""
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def sample_without_replacement(rng: np.random.Generator, population: np.ndarray, k: int) -> np.ndarray:
+class WordSource:
+    """Bounded draws from the raw 64-bit words of a PCG64 bit generator.
+
+    ``swap_indices(m, k)`` returns what ``Generator.integers(np.arange(k),
+    m)`` on the same bit generator would, and consumes the same stream:
+    see the module docstring for the halves, the rejections and the range
+    of 1. Words are read ahead in blocks with ``random_raw``; the bit
+    generator's state is neither read nor written until ``write_back``,
+    so draw from its ``Generator`` only after that call.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        state = bit_generator.state
+        self.bit_generator = bit_generator
+        # _halves[_pos:] are read but not drawn yet; _halves always ends with whole words
+        self._halves = np.array([state["uinteger"]] if state["has_uint32"] else [], dtype=np.uint32)
+        self._pos = 0
+        self._stale = state["uinteger"]  # PCG64's uinteger when no half of _halves is drawn
+        self._grow(0)
+
+    def swap_indices(self, m: int, k: int) -> list[int]:
+        """The k indices j_i in [i, m) of a partial Fisher-Yates shuffle of m items, 0 <= k <= m."""
+        end = min(k, m - 1)  # draw m - 1 has a range of 1
+        if len(self._down) < m:
+            self._grow(m)
+        base = len(self._down) - m  # _down[base + i] == m - i
+        out: list[int] = []
+        i = 0
+        while i < end:
+            c = end - i
+            if self._pos + c > len(self._halves):
+                self._read(c)
+            r = self._down[base + i:base + end]
+            product = self._halves[self._pos:self._pos + c] * r
+            low = product & _LOW32
+            ok = c
+            if low[low.argmin()] < m:  # a rejection needs low < (2**32 - r) % r < r <= m
+                rejected = np.flatnonzero(low < (2**32 - r) % r)
+                if len(rejected):
+                    ok = int(rejected[0])
+            out += ((product[:ok] >> 32) + self._up[i:i + ok]).tolist()
+            # a rejected draw spends its half and is drawn again from the next one
+            self._pos += ok + (ok < c)
+            i += ok
+        if k and k == m:
+            out.append(m - 1)
+        return out
+
+    def write_back(self) -> None:
+        """Leave the bit generator where ``Generator.integers`` would have left it.
+
+        Unread words go back with ``advance``; the half buffer is set,
+        including the stale ``uinteger`` that numpy keeps after its half
+        is drawn. The source stays usable.
+        """
+        has_half, uinteger = self._buffer()
+        self.bit_generator.advance(-((len(self._halves) - self._pos) // 2))
+        state = self.bit_generator.state
+        state.update(has_uint32=has_half, uinteger=uinteger)
+        self.bit_generator.state = state
+        self._halves = self._halves[self._pos:self._pos + has_half]
+        self._pos = 0
+        self._stale = uinteger
+
+    def _grow(self, m: int) -> None:
+        """Index and range tables for populations of up to m."""
+        self._up = np.arange(m, dtype=np.uint64)
+        self._down = np.arange(m, 0, -1, dtype=np.uint64)
+
+    def _buffer(self) -> tuple[int, int]:
+        """PCG64's (has_uint32, uinteger) at the read position."""
+        if (len(self._halves) - self._pos) % 2:
+            return 1, int(self._halves[self._pos])
+        return 0, int(self._halves[self._pos - 1]) if self._pos else self._stale
+
+    def _read(self, c: int) -> None:
+        """Read words until c halves are ahead of the read position."""
+        self._stale = self._buffer()[1]
+        ahead = self._halves[self._pos:]
+        words = self.bit_generator.random_raw(max(_WORDS_AHEAD, (c - len(ahead) + 1) // 2))
+        # little-endian words viewed as 32-bit halves come low half first
+        halves = words.astype("<u8", copy=False).view("<u4")
+        self._halves = np.concatenate((ahead, halves))
+        self._pos = 0
+
+
+def sample_without_replacement(source: WordSource, population: np.ndarray, k: int) -> np.ndarray:
     """Uniform k-subset of population via partial Fisher-Yates.
 
-    Swap i exchanges positions i and j_i with j_i drawn from [i, m). All k
-    draws come from one broadcast ``integers`` call, the same stream as
-    one ``integers(i, m)`` per selected element; nothing is consumed when
-    k == 0.
+    Swap i exchanges positions i and j_i, with j_i uniform in [i, m); the
+    k indices come from ``source.swap_indices(m, k)``, the stream of one
+    ``integers(i, m)`` per selected element. Nothing is consumed when
+    k == 0, nor by the last swap of k == m, whose range is 1.
     """
     m = len(population)
     if k < 0 or k > m:
@@ -66,7 +170,7 @@ def sample_without_replacement(rng: np.random.Generator, population: np.ndarray,
     if k == 0:
         return np.empty(0, dtype=population.dtype)
     pool = population.tolist()
-    for i, j in enumerate(rng.integers(np.arange(k), m).tolist()):
+    for i, j in enumerate(source.swap_indices(m, k)):
         pool[i], pool[j] = pool[j], pool[i]
     return np.array(pool[:k], dtype=population.dtype)
 
@@ -99,17 +203,17 @@ def check_unit(u) -> None:
         raise ValueError(f"information unit must be positive and finite, got {u!r}")
 
 
-def init_state(cfg: SimConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+def init_state(cfg: SimConfig, n: int, source: WordSource) -> np.ndarray:
     """Initial count vector: n_0 vertices chosen uniformly get one unit."""
     cfg.validate(n)
     counts = np.zeros(n, dtype=np.int64)
-    chosen = sample_without_replacement(rng, np.arange(n), cfg.n_0)
+    chosen = sample_without_replacement(source, np.arange(n), cfg.n_0)
     counts[chosen] = 1
     return counts
 
 
 def sim_step(
-    counts: np.ndarray, graph: Graph, cfg: SimConfig, rng: np.random.Generator
+    counts: np.ndarray, graph: Graph, cfg: SimConfig, source: WordSource
 ) -> np.ndarray:
     """One generation/disappearance step; returns the new counts."""
     n = graph.n
@@ -120,9 +224,9 @@ def sim_step(
     n_inf = len(informed)
 
     n_s = round_half_away(cfg.g * n_inf)
-    senders = sample_without_replacement(rng, informed, n_s)
+    senders = sample_without_replacement(source, informed, n_s)
     n_r = round_half_away(cfg.g * n)
-    receivers = sample_without_replacement(rng, np.arange(n), n_r)
+    receivers = sample_without_replacement(source, np.arange(n), n_r)
 
     if n_s and n_r:
         # one unit per adjacent (sender, receiver) pair, accumulated
@@ -133,7 +237,7 @@ def sim_step(
 
     support = np.flatnonzero(counts)
     n_d = round_half_away(cfg.d * len(support))
-    erased = sample_without_replacement(rng, support, n_d)
+    erased = sample_without_replacement(source, support, n_d)
     counts[erased] = 0
     return counts
 
@@ -142,15 +246,20 @@ def run_sim(cfg: SimConfig, graph: Graph) -> np.ndarray:
     """Full run: seed the state, then t_max steps. Pure in (cfg, graph).
 
     Returns the (t_max+1, n) int64 count history; row t holds the counts
-    after step t.
+    after step t. Stepping stops once a step can no longer change the
+    state (see the module docstring); the later rows repeat it.
     """
     cfg.validate(graph.n)
-    rng = np.random.default_rng(int(cfg.seed) & 0xFFFFFFFFFFFFFFFF)
-    counts = init_state(cfg, graph.n, rng)
+    source = WordSource(np.random.PCG64(int(cfg.seed) & 0xFFFFFFFFFFFFFFFF))
+    counts = init_state(cfg, graph.n, source)
     history = np.empty((cfg.t_max + 1, graph.n), dtype=np.int64)
     history[0] = counts
     for t in range(1, cfg.t_max + 1):
-        counts = sim_step(counts, graph, cfg, rng)
+        n_inf = np.count_nonzero(counts)
+        if round_half_away(cfg.g * n_inf) == 0 and round_half_away(cfg.d * n_inf) == 0:
+            history[t:] = counts  # no sender and nothing to erase, now and at every later step
+            break
+        counts = sim_step(counts, graph, cfg, source)
         history[t] = counts
     return history
 
@@ -207,6 +316,8 @@ def load_trace(path) -> tuple[np.ndarray, float | None]:
         if not header or header[0] != "t":
             raise ValueError("dense trace CSV must start with a 't' column")
         n = len(header) - 1
+        if n < 1:
+            raise ValueError("dense trace CSV has no vertex columns")
         data = []
         for row in reader:
             if len(row) != n + 1:
@@ -226,8 +337,8 @@ def _is_number(x) -> bool:
 
 def _sparse_states(n, rows) -> np.ndarray:
     """Dense states of a sparse document's rows, with every field type-checked."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"sparse trace 'n' must be a non-negative integer, got {n!r}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"sparse trace 'n' must be a positive integer, got {n!r}")
     if not isinstance(rows, list) or not rows:
         raise ValueError("sparse trace 'rows' must be a nonempty list")
     states = np.zeros((len(rows), n), dtype=np.float64)

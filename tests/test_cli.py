@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from mixbiotic.cli import main
@@ -237,6 +239,38 @@ class TestSweepCommand:
         assert json.loads(meta.read_text())["fresh_network"] is False
 
 
+# sha256 of CLI outputs recorded when selections still drew through Generator.integers; the
+# stream, and so every byte, is only pinned for the numpy version they were recorded under
+RECORDED_NUMPY = "2.4.6"
+RECORDED_NETWORKS = {
+    "ws": ["--model", "ws", "--n", "60", "--k", "4", "--p", "0.7"],
+    "ba": ["--model", "ba", "--n", "60", "--na", "3", "--k", "2"],
+}
+
+
+@pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
+                    reason=f"hashes recorded under numpy {RECORDED_NUMPY}, running {np.__version__}")
+class TestRecordedBytes:
+    @pytest.mark.parametrize("model, digest", [
+        ("ws", "42d89e645421f2f4bee949e6e1c29868928cc6bb184b902a87cd7fb73fe481b8"),
+        ("ba", "7a92fcf0855a3e908f9596078ec9c3fa5ef09cdf85f5b110d0867d793fc3df98"),
+    ])
+    def test_sweep_grid_csv(self, tmp_path, model, digest):
+        # (0.4, 0.8) dies within a few steps; (0.2, 0.1) and (0.8, 0.6) do not
+        mesh_file, out = tmp_path / "mesh.json", tmp_path / "grid.csv"
+        mesh_file.write_text(json.dumps([[0.2, 0.1], [0.4, 0.8], [0.8, 0.6]]))
+        assert run(["sweep", *RECORDED_NETWORKS[model], "--trials", "2", "--tmax", "40", "--n0", "5",
+                    "--seed", "3", "--mesh", f"file:{mesh_file}", "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_simulate_sparse_trace(self, tmp_path):
+        out = tmp_path / "x.json"
+        assert run(["simulate", *RECORDED_NETWORKS["ws"], "--g", "0.6", "--d", "0.3", "--u", "0.1",
+                    "--tmax", "40", "--n0", "5", "--seed", "3", "--out", out]) == 0
+        digest = "7cbb98891fb474f25012ab812c3dfe450147df0b42b133e5224f9611434bfc8f"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestMeasure:
     def test_event_measures(self, events_file, tmp_path):
         out = tmp_path / "ms.json"
@@ -324,11 +358,13 @@ class TestTrajectory:
         ("trace.json", '{"u": 1.0, "rows": [{"t": 0, "nz": []}]}', "sparse trace JSON has no 'n' field"),
         ("trace.json", '{"n": 3, "rows": [{"t": 0, "nz": []}]}', "sparse trace JSON has no 'u' field"),
         ("trace.json", '{"n": 3, "u": 1.0}', "sparse trace JSON has no 'rows' field"),
+        ("trace.csv", "t\n0\n1\n", "no vertex columns"),
+        ("trace.json", '{"n": 0, "u": 1.0, "rows": [{"t": 0, "nz": []}]}', "'n' must be a positive integer"),
     ], ids=["negative-index", "index-past-n", "fractional-index", "negative-q-json",
             "inf-q-json", "nan-q-csv", "negative-q-csv", "inf-q-csv", "string-n", "float-n",
             "bool-n", "int-rows", "list-row", "int-nz", "null-u", "string-q", "401-digit-q",
             "bool-t", "empty-file", "header-only-csv", "no-rows-json", "missing-n", "missing-u",
-            "missing-rows"])
+            "missing-rows", "zero-vertex-csv", "zero-vertex-json"])
     def test_rejects_malformed_trace(self, tmp_path, capsys, name, text, message):
         trace = tmp_path / name
         trace.write_text(text)

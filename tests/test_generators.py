@@ -62,7 +62,8 @@ class TestBaGenerator:
     def test_seed_determinism(self):
         assert generate_ba(BaParams(40, 3, 2), seed=21) == generate_ba(BaParams(40, 3, 2), seed=21)
 
-    @pytest.mark.parametrize("n,n_a,k", [(100, 3, 2), (5, 5, 5), (1, 1, 1), (30, 1, 1), (60, 4, 3)])
+    @pytest.mark.parametrize("n,n_a,k", [(100, 3, 2), (5, 5, 5), (1, 1, 1), (30, 1, 1), (60, 4, 3),
+                                       (10, 1, 1), (50, 5, 5)])
     def test_matches_float_cumsum_reference(self, n, n_a, k):
         for seed in range(8):
             params = BaParams(n, n_a, k)
