@@ -23,22 +23,16 @@ from . import __version__
 from .datasets import FormatConfig, aggregate_graph, dataset_measures, parse_events
 from .generators import BaParams, WsParams, generate_network
 from .graph import graph_stats, load_graph, save_graph
-from .measures import (
-    average_measures,
-    load_measures,
-    save_measures,
-    series_measures,
-    trajectory,
-)
-from .simulation import SimConfig, check_unit, load_trace, run_sim, save_trace_csv, save_trace_sparse_json
+from .measures import load_measures, save_measures, trajectory
+from .simulation import load_trace, save_trace_csv, save_trace_sparse_json
 from .sweep import (
     MeshSpec,
     SweepConfig,
     build_mesh,
+    run_point,
     run_sweep,
     save_grid_csv,
     save_grid_metadata,
-    trial_seeds,
 )
 from .svg import RADAR_AXES, render_phase_svg, render_radar_svg, render_trajectory_svg
 
@@ -116,35 +110,19 @@ def cmd_stats(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if args.tmax < 1:
-        raise ValueError(f"--tmax must be >= 1 (the measures need two states), got {args.tmax}")
-    if args.graph:
-        graph = _read(load_graph, args.graph)
-        fresh = False
-    else:
-        _network_params(args).validate()
-        fresh = True
-    check_unit(args.u)
+    graph = _read(load_graph, args.graph) if args.graph else None
+    cfg = SweepConfig(
+        network=_network_params(args) if graph is None else None, trials=args.trials, u=args.u,
+        t_max=args.tmax, n_0=args.n0, base_seed=args.seed,
+    )
+    cfg.validate(graph)
     cfg_items = {
         "g": args.g, "d": args.d, "u": args.u, "t_max": args.tmax,
         "n_0": args.n0, "seed": args.seed, "trials": args.trials,
         "graph": args.graph, "model": args.model if not args.graph else None,
     }
     _echo_config("simulate", cfg_items)
-    per_trial = []
-    first_counts = None
-    for trial in range(args.trials):
-        net_seed, sim_seed = trial_seeds(args.seed, 0, trial)
-        if fresh:
-            graph = generate_network(_network_params(args), net_seed)
-        sim_cfg = SimConfig(g=args.g, d=args.d, t_max=args.tmax, n_0=args.n0, seed=sim_seed)
-        counts = run_sim(sim_cfg, graph)
-        if first_counts is None:
-            first_counts = counts
-        per_trial.append(series_measures(counts))
-    measures = average_measures(per_trial)
+    measures, first_counts = run_point(cfg, args.g, args.d, 0, graph)
     if args.out:
         if str(args.out).endswith(".json"):
             save_trace_sparse_json(first_counts, args.out, args.u)

@@ -183,7 +183,7 @@ class SimConfig:
     n_0: int = 10  # initially informed vertices
     seed: int = 0
 
-    def validate(self, n: int | None = None) -> None:
+    def validate(self, n: int) -> None:
         if not (0.0 <= self.g <= 1.0):
             raise ValueError(f"generation rate must be in [0,1], got {self.g}")
         if not (0.0 <= self.d <= 1.0):
@@ -192,7 +192,7 @@ class SimConfig:
             raise ValueError(f"iteration count must be >= 0, got {self.t_max}")
         if self.n_0 < 0:
             raise ValueError(f"initial informed count must be >= 0, got {self.n_0}")
-        if n is not None and self.n_0 > n:
+        if self.n_0 > n:
             raise ValueError(f"cannot seed {self.n_0} informed vertices on {n}")
 
 
@@ -249,7 +249,6 @@ def run_sim(cfg: SimConfig, graph: Graph) -> np.ndarray:
     after step t. Stepping stops once a step can no longer change the
     state (see the module docstring); the later rows repeat it.
     """
-    cfg.validate(graph.n)
     source = WordSource(np.random.PCG64(int(cfg.seed) & 0xFFFFFFFFFFFFFFFF))
     counts = init_state(cfg, graph.n, source)
     history = np.empty((cfg.t_max + 1, graph.n), dtype=np.int64)

@@ -1,10 +1,10 @@
 """Parameter-plane sweep and phase classification.
 
 A mesh of (generation rate, disappearance rate) points is swept by
-running the communication simulation ``trials`` times per point on a
-freshly generated network per trial, averaging the measure sets
-component-wise in trial order, then normalizing each composite by its
-maximum over the grid and labeling every point:
+running the communication simulation ``trials`` times per point,
+averaging the measure sets component-wise in trial order, then
+normalizing each composite by its maximum over the grid and labeling
+every point:
 
   Nihilism  -- all three normalized composites below the threshold
   otherwise -- the largest normalized composite, ties resolved in the
@@ -12,7 +12,11 @@ maximum over the grid and labeling every point:
 
 Per-trial seeds derive from numpy's SeedSequence with entropy
 (base_seed, point_index, trial_index); the first generated word seeds
-the network, the second the simulation. Any grid subset is therefore
+the network, the second the simulation. With ``fresh_network=False``
+one network, generated once from the base seed, replaces the per-trial
+networks of every point. ``run_point`` is the one trial loop;
+``simulate`` runs it at point index 0, with its ``--graph`` as the
+fixed network. Any grid subset is therefore
 recomputable in isolation, and parallel execution cannot change results
 because every point is aggregated independently in trial order.
 
@@ -32,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .generators import BaParams, WsParams, generate_network
+from .graph import Graph
 from .measures import MeasureSet, average_measures, series_measures
 from .simulation import SimConfig, check_unit, run_sim
 
@@ -85,7 +90,7 @@ def build_mesh(spec: MeshSpec) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    network: WsParams | BaParams
+    network: WsParams | BaParams | None  # None only for a run on a fixed graph
     trials: int = 100
     u: float = 1.0
     t_max: int = 100
@@ -94,18 +99,22 @@ class SweepConfig:
     nihilism_threshold: float = 0.15
     fresh_network: bool = True  # regenerate the network every trial
 
-    def validate(self) -> None:
-        self.network.validate()
+    def validate(self, graph: Graph | None = None) -> None:
+        if self.network is not None:
+            self.network.validate()
+        elif graph is None:
+            raise ValueError("a sweep needs network parameters or a fixed graph")
         if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            raise ValueError(f"--trials must be >= 1, got {self.trials}")
         if self.t_max < 1:
-            raise ValueError(f"t_max (--tmax) must be >= 1 (the measures need two states), got {self.t_max}")
+            raise ValueError(f"--tmax must be >= 1 (the measures need two states), got {self.t_max}")
         if not (0.0 < self.nihilism_threshold < 1.0):
             raise ValueError(
                 f"nihilism threshold must be in (0,1), got {self.nihilism_threshold}"
             )
         check_unit(self.u)
-        SimConfig(g=0.0, d=0.0, t_max=self.t_max, n_0=self.n_0).validate(self.network.n)
+        n = graph.n if graph is not None else self.network.n
+        SimConfig(g=0.0, d=0.0, t_max=self.t_max, n_0=self.n_0).validate(n)
 
     @property
     def model(self) -> str:
@@ -126,8 +135,7 @@ class PhasePoint:
 @dataclass
 class PhaseGrid:
     points: list[PhasePoint]
-    threshold: float
-    config: SweepConfig | None = None
+    config: SweepConfig
 
     def point_at(self, g: float, d: float) -> PhasePoint:
         for p in self.points:
@@ -143,16 +151,30 @@ def trial_seeds(base_seed: int, point_index: int, trial_index: int) -> tuple[int
     return int(words[0]), int(words[1])
 
 
-def _point_task(args: tuple[SweepConfig, tuple[float, float], int]) -> MeasureSet:
-    cfg, (g, d), point_index = args
-    shared = None if cfg.fresh_network else generate_network(cfg.network, cfg.base_seed)
+def run_point(
+    cfg: SweepConfig, g: float, d: float, point_index: int, graph: Graph | None = None
+) -> tuple[MeasureSet, np.ndarray]:
+    """Trial-averaged measures of one mesh point, and the first trial's count history.
+
+    Every trial runs on ``graph`` when it is given, and otherwise on a
+    network generated from the trial's own seed.
+    """
     per_trial = []
+    first_counts = None
     for trial in range(cfg.trials):
         net_seed, sim_seed = trial_seeds(cfg.base_seed, point_index, trial)
-        graph = generate_network(cfg.network, net_seed) if cfg.fresh_network else shared
-        sim_cfg = SimConfig(g=g, d=d, t_max=cfg.t_max, n_0=cfg.n_0, seed=sim_seed)
-        per_trial.append(series_measures(run_sim(sim_cfg, graph)))
-    return average_measures(per_trial)
+        net = graph if graph is not None else generate_network(cfg.network, net_seed)
+        counts = run_sim(SimConfig(g=g, d=d, t_max=cfg.t_max, n_0=cfg.n_0, seed=sim_seed), net)
+        if first_counts is None:
+            first_counts = counts
+        per_trial.append(series_measures(counts))
+    return average_measures(per_trial), first_counts
+
+
+def _point_task(args: tuple[SweepConfig, tuple[float, float], int, Graph | None]) -> MeasureSet:
+    cfg, (g, d), point_index, graph = args
+    # the history is dropped here, so a sweep holds no per-point histories
+    return run_point(cfg, g, d, point_index, graph)[0]
 
 
 def normalize_by_max(values: np.ndarray) -> np.ndarray:
@@ -186,7 +208,8 @@ def run_sweep(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not mesh:
         raise ValueError("mesh is empty")
-    tasks = [(cfg, point, idx) for idx, point in enumerate(mesh)]
+    graph = None if cfg.fresh_network else generate_network(cfg.network, cfg.base_seed)
+    tasks = [(cfg, point, idx, graph) for idx, point in enumerate(mesh)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_point_task, tasks, chunksize=1))
@@ -203,7 +226,7 @@ def run_sweep(
         )
         for (g, d), ms, na, nx, nb in zip(mesh, results, norm_atom, norm_mix, norm_mob)
     ]
-    return PhaseGrid(points, cfg.nihilism_threshold, cfg)
+    return PhaseGrid(points, cfg)
 
 
 def _fmt(x: float) -> str:
@@ -231,19 +254,16 @@ def save_grid_metadata(grid: PhaseGrid, path) -> None:
     config = grid.config
     doc = {
         "mesh_points": len(grid.points),
-        "nihilism_threshold": grid.threshold,
+        "nihilism_threshold": config.nihilism_threshold,
+        "model": config.model,
+        "network": vars(config.network).copy(),
+        "trials": config.trials,
+        "u": config.u,
+        "t_max": config.t_max,
+        "n_0": config.n_0,
+        "base_seed": config.base_seed,
+        "fresh_network": config.fresh_network,
     }
-    if config is not None:
-        doc.update({
-            "model": config.model,
-            "network": vars(config.network).copy(),
-            "trials": config.trials,
-            "u": config.u,
-            "t_max": config.t_max,
-            "n_0": config.n_0,
-            "base_seed": config.base_seed,
-            "fresh_network": config.fresh_network,
-        })
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")

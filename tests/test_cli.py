@@ -193,7 +193,7 @@ class TestSweepCommand:
         out = tmp_path / "grid.csv"
         assert run(["sweep", "--model", "ws", "--n", "20", "--k", "4", "--p", "0.5",
                     "--trials", "1", "--tmax", "0", "--mesh", "grid", "--out", out]) == 3
-        assert "--tmax) must be >= 1" in capsys.readouterr().err
+        assert "--tmax must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -237,6 +237,34 @@ class TestSweepCommand:
         meta = tmp_path / "meta.json"
         run(base + ["--fixed-network", "--out", fixed, "--meta", meta])
         assert json.loads(meta.read_text())["fresh_network"] is False
+
+
+class TestSimulateIsOnePointSweep:
+    """``simulate`` runs the trials of a sweep's point index 0, field for field."""
+
+    FIELDS = ["mu_I", "var_I", "mu_L", "var_L", "mu_LR", "var_LR", "mu_S", "var_S",
+              "m_atom", "m_mix", "m_mob"]
+    NETWORK = ["--model", "ws", "--n", "30", "--k", "4", "--p", "0.5"]
+    RUN = ["--trials", "3", "--tmax", "15", "--n0", "4", "--seed", "5"]
+
+    def compare(self, tmp_path, simulate_args, sweep_args):
+        ms, grid, mesh = tmp_path / "ms.json", tmp_path / "grid.csv", tmp_path / "mesh.json"
+        mesh.write_text(json.dumps([[0.5, 0.3]]))
+        assert run(["simulate", *simulate_args, "--g", "0.5", "--d", "0.3", *self.RUN,
+                    "--measures", ms]) == 0
+        assert run(["sweep", *sweep_args, *self.RUN, "--mesh", f"file:{mesh}", "--out", grid]) == 0
+        header, row = grid.read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        doc = json.loads(ms.read_text())
+        assert [float(cells[k]) for k in self.FIELDS] == [doc[k] for k in self.FIELDS]
+
+    def test_fresh_networks(self, tmp_path):
+        self.compare(tmp_path, self.NETWORK, self.NETWORK)
+
+    def test_graph_file_is_the_fixed_network(self, tmp_path):
+        net = tmp_path / "net.json"
+        assert run(["gen", *self.NETWORK, "--seed", "5", "--out", net]) == 0
+        self.compare(tmp_path, ["--graph", net], [*self.NETWORK, "--fixed-network"])
 
 
 # sha256 of CLI outputs recorded when selections still drew through Generator.integers; the

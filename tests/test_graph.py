@@ -181,6 +181,38 @@ class TestGraphStats:
         assert graph_stats(g) == graph_stats(g)
 
 
+class TestNetworkxOracle:
+    """graph_stats and local_clustering equal networkx's, an independent test-only oracle."""
+
+    @pytest.fixture(scope="class")
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    def graphs(self):
+        rng = np.random.default_rng(16)
+        yield from (generate_network(WsParams(n=60, k=4, p=p), seed) for p in (0.1, 0.7) for seed in range(20))
+        yield from (generate_network(BaParams(n=80, n_a=3, k=2), seed) for seed in range(20))
+        yield from (random_graph(rng, int(rng.integers(2, 40)), p) for p in (0.05, 0.3) for _ in range(8))
+
+    def test_stats_and_clustering_match(self, nx):
+        seen_disconnected = False
+        for g in self.graphs():
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges)
+            clustering = nx.clustering(h)
+            assert local_clustering(g).tolist() == [clustering[v] for v in range(g.n)]
+            st = graph_stats(g)
+            assert st.density == nx.density(h)
+            if nx.is_connected(h):
+                assert st.diameter == nx.diameter(h)
+                assert st.mean_distance == nx.average_shortest_path_length(h)
+            else:
+                seen_disconnected = True
+                assert math.isinf(st.diameter) and math.isinf(st.mean_distance)
+        assert seen_disconnected
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         g = Graph(5, [(4, 0), (1, 3), (2, 1)])

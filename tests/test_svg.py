@@ -44,7 +44,7 @@ class TestPhaseSvg:
         from mixbiotic.sweep import PhaseGrid
 
         with pytest.raises(ValueError):
-            render_phase_svg(PhaseGrid([], threshold=0.15))
+            render_phase_svg(PhaseGrid([], small_grid.config))
 
 
 class TestTrajectorySvg:

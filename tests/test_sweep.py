@@ -2,7 +2,9 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mixbiotic.sweep as sweep_module
 from mixbiotic.generators import WsParams
 from mixbiotic.simulation import SimConfig, run_sim
 from mixbiotic.generators import generate_ws
@@ -21,6 +23,7 @@ from mixbiotic.sweep import (
 
 
 SMALL_CFG = SweepConfig(network=WsParams(30, 4, 0.5), trials=2, t_max=20, n_0=4, base_seed=9)
+RATES = st.integers(0, 10).map(lambda k: k / 10)
 
 
 class TestBuildMesh:
@@ -88,12 +91,34 @@ class TestRunSweep:
         b = run_sweep(SMALL_CFG, mesh)
         assert [p.measures for p in a.points] == [p.measures for p in b.points]
 
-    def test_parallel_matches_serial(self):
-        mesh = [(0.2, 0.1), (0.6, 0.4), (0.9, 0.9)]
-        serial = run_sweep(SMALL_CFG, mesh, workers=1)
-        parallel = run_sweep(SMALL_CFG, mesh, workers=2)
+    @settings(max_examples=20, deadline=None)
+    @given(
+        points=st.lists(st.tuples(RATES, RATES), min_size=1, max_size=4),
+        fresh=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    def test_parallel_matches_serial(self, points, fresh, seed):
+        # the fixed network reaches the workers inside each task
+        mesh = build_mesh(MeshSpec(grid_step=None, extra_points=points))
+        cfg = SweepConfig(network=WsParams(16, 4, 0.5), trials=2, t_max=8, n_0=3,
+                          base_seed=seed, fresh_network=fresh)
+        serial = run_sweep(cfg, mesh, workers=1)
+        parallel = run_sweep(cfg, mesh, workers=2)
         assert [p.measures for p in serial.points] == [p.measures for p in parallel.points]
         assert [p.phase for p in serial.points] == [p.phase for p in parallel.points]
+
+    def test_fixed_network_is_generated_once(self, monkeypatch):
+        calls = []
+
+        def counting(params, seed):
+            calls.append(seed)
+            return generate_ws(params, seed)
+
+        monkeypatch.setattr(sweep_module, "generate_network", counting)
+        cfg = SweepConfig(network=WsParams(20, 4, 0.5), trials=2, t_max=5, n_0=3,
+                          base_seed=4, fresh_network=False)
+        run_sweep(cfg, [(0.2, 0.1), (0.5, 0.5), (0.8, 0.3)])
+        assert calls == [4]
 
     def test_decay_only_information_change_is_bounded(self):
         # g=0: nothing is ever sent, so total change over the whole trace
@@ -110,6 +135,8 @@ class TestRunSweep:
             run_sweep(SMALL_CFG, [])
         with pytest.raises(ValueError):
             run_sweep(SweepConfig(network=WsParams(30, 4, 0.5), trials=0), [(0.1, 0.1)])
+        with pytest.raises(ValueError, match="network parameters"):
+            run_sweep(SweepConfig(network=None, trials=1), [(0.1, 0.1)])
 
 
 def labels(rows, threshold=0.15):
