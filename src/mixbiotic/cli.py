@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .datasets import FormatConfig, aggregate_graph, dataset_measures, parse_events
-from .generators import BaParams, WsParams, generate_network
+from .generators import BaParams, WsParams, check_seed, generate_network
 from .graph import graph_stats, load_graph, save_graph
 from .measures import load_measures, save_measures, trajectory
 from .simulation import load_trace, save_trace_csv, save_trace_sparse_json
@@ -64,6 +64,14 @@ def _emit_json(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_output_dirs(args) -> None:
+    """Every output path must name a file in an existing directory; checked before any work."""
+    for flag in ("out", "meta", "svg", "measures"):
+        path = getattr(args, flag, None)
+        if path and not Path(path).parent.is_dir():
+            raise InputError(f"--{flag} {path}: directory {Path(path).parent} does not exist")
+
+
 def _network_params(args) -> WsParams | BaParams:
     if args.model == "ws":
         if args.k is None or args.p is None:
@@ -86,6 +94,7 @@ def _format_config(args) -> FormatConfig:
 def cmd_gen(args) -> int:
     params = _network_params(args)
     params.validate()
+    check_seed(args.seed)
     _echo_config("gen", {"model": args.model, "params": vars(params).copy(), "seed": args.seed})
     graph = generate_network(params, args.seed)
     save_graph(graph, args.out)
@@ -337,6 +346,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,8 +59,10 @@ class BaParams:
             )
 
 
-def _seed_to_uint64(seed: int) -> int:
-    return int(seed) & 0xFFFFFFFFFFFFFFFF
+def check_seed(seed: int) -> None:
+    """A seed is an unsigned 64-bit integer: one outside [0, 2**64) is refused, not wrapped."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"--seed must be in [0, 2**64), got {seed}")
 
 
 def generate_ws(params: WsParams, seed: int) -> Graph:
@@ -79,7 +81,7 @@ def generate_ws(params: WsParams, seed: int) -> Graph:
     """
     params.validate()
     n, k, p = params.n, params.k, params.p
-    rng = np.random.default_rng(_seed_to_uint64(seed))
+    rng = np.random.default_rng(seed)
     neighbors: list[set[int]] = [set() for _ in range(n)]
     for offset in range(1, k // 2 + 1):
         for i in range(n):
@@ -127,7 +129,7 @@ def generate_ba(params: BaParams, seed: int) -> Graph:
     """
     params.validate()
     n, n_a, k = params.n, params.n_a, params.k
-    rng = np.random.default_rng(_seed_to_uint64(seed))
+    rng = np.random.default_rng(seed)
     doubles = iter(rng.random(k * (n - n_a)).tolist())
     edges = [(i, j) for i in range(n_a) for j in range(i + 1, n_a)]
     degree = [n_a - 1] * n_a + [0] * (n - n_a)

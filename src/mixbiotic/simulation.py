@@ -20,9 +20,10 @@ then per step senders, receivers, erasures. A selection of k from m takes
 the k swap indices j_i of a partial Fisher-Yates shuffle from a
 ``WordSource``, which turns raw PCG64 words into exactly the values and
 stream of one broadcast ``Generator.integers(np.arange(k), m)`` call, that
-is, of k scalar ``integers(i, m)`` calls in order. Each draw takes one
-32-bit half h of a word, the low half first; a half left over is carried
-to the next selection, as PCG64's ``has_uint32``/``uinteger`` buffer does.
+is, of k scalar ``integers(i, m)`` calls in order, from one source per
+run that reads its own PCG64 forward only. Each draw takes one 32-bit
+half h of a word, the low half first; a half left over is carried to the
+next selection, as numpy's 32-bit buffer does.
 Draw i has the range r = m - i and gives j_i = i + (h * r >> 32) (Lemire
 2019, "Fast random integer generation in an interval", ACM TOMACS 29(1));
 it is drawn again from the next half when the low 32 bits of h * r fall
@@ -34,7 +35,7 @@ both zero, extinction (n_inf = 0) included, and repeats the counts in
 every later history row. With no sender there is no delivery, so the
 support stays the informed set and nothing is erased: the step leaves the
 state, and so n_inf and both counts, as they were. The draws the skipped
-steps would have made come from the run's private generator, which is
+steps would have made come from the run's own source, which is
 discarded, so no row changes.
 
 Delivery gathers every arc leaving a sender with ``Graph.arcs``, keeps
@@ -71,23 +72,21 @@ def round_half_away(x: float) -> int:
 
 
 class WordSource:
-    """Bounded draws from the raw 64-bit words of a PCG64 bit generator.
+    """Bounded draws from the raw 64-bit words of ``np.random.PCG64(seed)``.
 
     ``swap_indices(m, k)`` returns what ``Generator.integers(np.arange(k),
-    m)`` on the same bit generator would, and consumes the same stream:
-    see the module docstring for the halves, the rejections and the range
-    of 1. Words are read ahead in blocks with ``random_raw``; the bit
-    generator's state is neither read nor written until ``write_back``,
-    so draw from its ``Generator`` only after that call.
+    m)`` on ``np.random.default_rng(seed)`` would, and consumes the same
+    stream: see the module docstring for the halves, the rejections and
+    the range of 1. The source builds its own generator and reads it
+    forward only, in ``random_raw`` blocks, so no other draw can come
+    between its selections.
     """
 
-    def __init__(self, bit_generator: np.random.BitGenerator):
-        state = bit_generator.state
-        self.bit_generator = bit_generator
+    def __init__(self, seed: int):
+        self._pcg = np.random.PCG64(seed)
         # _halves[_pos:] are read but not drawn yet; _halves always ends with whole words
-        self._halves = np.array([state["uinteger"]] if state["has_uint32"] else [], dtype=np.uint32)
+        self._halves = np.empty(0, dtype=np.uint32)
         self._pos = 0
-        self._stale = state["uinteger"]  # PCG64's uinteger when no half of _halves is drawn
         self._grow(0)
 
     def swap_indices(self, m: int, k: int) -> list[int]:
@@ -118,38 +117,15 @@ class WordSource:
             out.append(m - 1)
         return out
 
-    def write_back(self) -> None:
-        """Leave the bit generator where ``Generator.integers`` would have left it.
-
-        Unread words go back with ``advance``; the half buffer is set,
-        including the stale ``uinteger`` that numpy keeps after its half
-        is drawn. The source stays usable.
-        """
-        has_half, uinteger = self._buffer()
-        self.bit_generator.advance(-((len(self._halves) - self._pos) // 2))
-        state = self.bit_generator.state
-        state.update(has_uint32=has_half, uinteger=uinteger)
-        self.bit_generator.state = state
-        self._halves = self._halves[self._pos:self._pos + has_half]
-        self._pos = 0
-        self._stale = uinteger
-
     def _grow(self, m: int) -> None:
         """Index and range tables for populations of up to m."""
         self._up = np.arange(m, dtype=np.uint64)
         self._down = np.arange(m, 0, -1, dtype=np.uint64)
 
-    def _buffer(self) -> tuple[int, int]:
-        """PCG64's (has_uint32, uinteger) at the read position."""
-        if (len(self._halves) - self._pos) % 2:
-            return 1, int(self._halves[self._pos])
-        return 0, int(self._halves[self._pos - 1]) if self._pos else self._stale
-
     def _read(self, c: int) -> None:
         """Read words until c halves are ahead of the read position."""
-        self._stale = self._buffer()[1]
         ahead = self._halves[self._pos:]
-        words = self.bit_generator.random_raw(max(_WORDS_AHEAD, (c - len(ahead) + 1) // 2))
+        words = self._pcg.random_raw(max(_WORDS_AHEAD, (c - len(ahead) + 1) // 2))
         # little-endian words viewed as 32-bit halves come low half first
         halves = words.astype("<u8", copy=False).view("<u4")
         self._halves = np.concatenate((ahead, halves))
@@ -212,9 +188,7 @@ def init_state(cfg: SimConfig, n: int, source: WordSource) -> np.ndarray:
     return counts
 
 
-def sim_step(
-    counts: np.ndarray, graph: Graph, cfg: SimConfig, source: WordSource
-) -> np.ndarray:
+def sim_step(counts: np.ndarray, graph: Graph, cfg: SimConfig, source: WordSource) -> np.ndarray:
     """One generation/disappearance step; returns the new counts."""
     n = graph.n
     if len(counts) != n:
@@ -249,7 +223,7 @@ def run_sim(cfg: SimConfig, graph: Graph) -> np.ndarray:
     after step t. Stepping stops once a step can no longer change the
     state (see the module docstring); the later rows repeat it.
     """
-    source = WordSource(np.random.PCG64(int(cfg.seed) & 0xFFFFFFFFFFFFFFFF))
+    source = WordSource(cfg.seed)
     counts = init_state(cfg, graph.n, source)
     history = np.empty((cfg.t_max + 1, graph.n), dtype=np.int64)
     history[0] = counts
@@ -311,17 +285,20 @@ def load_trace(path) -> tuple[np.ndarray, float | None]:
         return _sparse_states(doc["n"], doc["rows"]), float(doc["u"])
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "t":
-            raise ValueError("dense trace CSV must start with a 't' column")
-        n = len(header) - 1
-        if n < 1:
-            raise ValueError("dense trace CSV has no vertex columns")
-        data = []
-        for row in reader:
-            if len(row) != n + 1:
-                raise ValueError(f"trace row length {len(row)} != {n + 1}")
-            data.append([float(v) for v in row[1:]])
+        try:
+            header = next(reader)
+            if not header or header[0] != "t":
+                raise ValueError("dense trace CSV must start with a 't' column")
+            n = len(header) - 1
+            if n < 1:
+                raise ValueError("dense trace CSV has no vertex columns")
+            data = []
+            for row in reader:
+                if len(row) != n + 1:
+                    raise ValueError(f"trace row length {len(row)} != {n + 1}")
+                data.append([float(v) for v in row[1:]])
+        except csv.Error as exc:  # a field past the csv module's size limit
+            raise ValueError(f"dense trace CSV is malformed: {exc}") from exc
     if not data:
         raise ValueError("dense trace CSV has a header but no rows")
     states = np.asarray(data, dtype=np.float64)
@@ -340,6 +317,8 @@ def _sparse_states(n, rows) -> np.ndarray:
         raise ValueError(f"sparse trace 'n' must be a positive integer, got {n!r}")
     if not isinstance(rows, list) or not rows:
         raise ValueError("sparse trace 'rows' must be a nonempty list")
+    if len(rows) * n > 2**28:  # the dense states would pass 2 GiB
+        raise ValueError(f"sparse trace 'n' {n} is too large to load {len(rows)} rows")
     states = np.zeros((len(rows), n), dtype=np.float64)
     for k, row in enumerate(rows):
         if not isinstance(row, dict) or not isinstance(row.get("nz"), list):

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .generators import BaParams, WsParams, generate_network
+from .generators import BaParams, WsParams, check_seed, generate_network
 from .graph import Graph
 from .measures import MeasureSet, average_measures, series_measures
 from .simulation import SimConfig, check_unit, run_sim
@@ -113,6 +113,7 @@ class SweepConfig:
                 f"nihilism threshold must be in (0,1), got {self.nihilism_threshold}"
             )
         check_unit(self.u)
+        check_seed(self.base_seed)
         n = graph.n if graph is not None else self.network.n
         SimConfig(g=0.0, d=0.0, t_max=self.t_max, n_0=self.n_0).validate(n)
 
@@ -146,7 +147,7 @@ class PhaseGrid:
 
 def trial_seeds(base_seed: int, point_index: int, trial_index: int) -> tuple[int, int]:
     """(network seed, simulation seed) for one trial of one mesh point."""
-    entropy = (int(base_seed) & 0xFFFFFFFFFFFFFFFF, point_index, trial_index)
+    entropy = (base_seed, point_index, trial_index)
     words = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
     return int(words[0]), int(words[1])
 

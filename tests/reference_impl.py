@@ -6,7 +6,9 @@ each distinct count once; these versions draw one scalar ``integers(i, m)``
 per selected element, deliver through a dense adjacency matrix, take float
 cumulative sums per draw and format every cell of a float copy of the
 trace. Both must consume the same PCG64 stream in the same order and give
-exactly equal results.
+exactly equal results. ``RewindableSource`` runs the library's
+``WordSource`` on a caller's bit generator and can hand the stream back,
+so tests can compare generator states with these oracles.
 
 The event-log oracles keep events as ``(time, src, dst)`` tuples, count
 snapshots in dicts and run one Python BFS per source. The graph oracles
@@ -30,7 +32,7 @@ import numpy as np
 
 from mixbiotic.datasets import DatasetMeta, FormatConfig
 from mixbiotic.graph import Graph, GraphStats
-from mixbiotic.simulation import round_half_away
+from mixbiotic.simulation import WordSource, round_half_away
 
 
 def sample_without_replacement(rng, population, k):
@@ -45,6 +47,52 @@ def sample_without_replacement(rng, population, k):
         j = int(rng.integers(i, m))
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k]
+
+
+class RewindableSource(WordSource):
+    """A ``WordSource`` over a caller's bit generator, which it can hand back.
+
+    It starts from the generator's buffered half, if it has one, and
+    ``write_back`` leaves the generator where ``Generator.integers`` would
+    have left it, so a test can compare ``bit_generator.state`` with the
+    scalar draws of the oracles above. Draw from the generator's
+    ``Generator`` only after ``write_back``.
+    """
+
+    def __init__(self, bit_generator):
+        state = bit_generator.state
+        self._pcg = self.bit_generator = bit_generator
+        # _halves[_pos:] are read but not drawn yet; _halves always ends with whole words
+        self._halves = np.array([state["uinteger"]] if state["has_uint32"] else [], dtype=np.uint32)
+        self._pos = 0
+        self._stale = state["uinteger"]  # PCG64's uinteger when no half of _halves is drawn
+        self._grow(0)
+
+    def write_back(self):
+        """Leave the bit generator where ``Generator.integers`` would have left it.
+
+        Unread words go back with ``advance``; the half buffer is set,
+        including the stale ``uinteger`` that numpy keeps after its half
+        is drawn. The source stays usable.
+        """
+        has_half, uinteger = self._buffer()
+        self.bit_generator.advance(-((len(self._halves) - self._pos) // 2))
+        state = self.bit_generator.state
+        state.update(has_uint32=has_half, uinteger=uinteger)
+        self.bit_generator.state = state
+        self._halves = self._halves[self._pos:self._pos + has_half]
+        self._pos = 0
+        self._stale = uinteger
+
+    def _buffer(self):
+        """PCG64's (has_uint32, uinteger) at the read position."""
+        if (len(self._halves) - self._pos) % 2:
+            return 1, int(self._halves[self._pos])
+        return 0, int(self._halves[self._pos - 1]) if self._pos else self._stale
+
+    def _read(self, c):
+        self._stale = self._buffer()[1]
+        super()._read(c)
 
 
 def adjacency_matrix(graph):
@@ -85,7 +133,7 @@ def generate_ba(params, seed):
     """Degree-proportional growth with a float64 cumsum/searchsorted per draw."""
     params.validate()
     n, n_a, k = params.n, params.n_a, params.k
-    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(n_a) for j in range(i + 1, n_a)]
     degree = np.zeros(n, dtype=np.int64)
     degree[:n_a] = n_a - 1

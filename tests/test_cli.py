@@ -5,7 +5,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import mixbiotic.cli as cli
+import mixbiotic.sweep as sweep_module
 from mixbiotic.cli import main
 
 
@@ -239,6 +242,48 @@ class TestSweepCommand:
         assert json.loads(meta.read_text())["fresh_network"] is False
 
 
+class TestRejectedBeforeAnyWork:
+    """A --seed outside [0, 2**64) or an output path in a missing directory stops the command
+    before it generates, simulates or sweeps anything."""
+
+    NETWORK = ["--model", "ws", "--n", "20", "--k", "4", "--p", "0.5"]
+    COMMANDS = {
+        "gen": ["gen", *NETWORK],
+        "simulate": ["simulate", *NETWORK, "--g", "0.5", "--d", "0.3", "--tmax", "3"],
+        "sweep": ["sweep", *NETWORK, "--trials", "1", "--tmax", "3", "--mesh", "grid"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("the command started work")
+
+        for module, name in [(cli, "generate_network"), (cli, "run_point"), (sweep_module, "run_point")]:
+            monkeypatch.setattr(module, name, work)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 99999999999999999999999])
+    @pytest.mark.parametrize("command", ["gen", "simulate", "sweep"])
+    def test_seed_outside_uint64(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        assert run([*self.COMMANDS[command], "--seed", seed, "--out", out]) == 3
+        assert f"--seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gen", "--out"), ("simulate", "--out"), ("simulate", "--measures"),
+        ("sweep", "--out"), ("sweep", "--meta"), ("sweep", "--svg"), ("trajectory", "--svg"),
+    ])
+    def test_output_directory_missing(self, tmp_path, capsys, command, flag):
+        argv = self.COMMANDS.get(command, ["trajectory", "--trace", tmp_path / "trace.csv"])
+        if flag != "--out":
+            argv = [*argv, "--out", tmp_path / "out"]
+        missing = tmp_path / "missing" / "file"
+        assert run([*argv, flag, missing]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {missing}: directory {missing.parent} does not exist" in err
+        assert "config" not in err and not (tmp_path / "out").exists()
+
+
 class TestSimulateIsOnePointSweep:
     """``simulate`` runs the trials of a sweep's point index 0, field for field."""
 
@@ -400,6 +445,63 @@ class TestTrajectory:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "polar.csv").exists()
+
+
+# JSON values of every type, kept shallow
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+# an n past the loader's 2**28-value cap is refused before any allocation; smaller ones stay tiny
+SIZES = st.integers(-2, 6) | st.sampled_from([2**63, 10**13, 10**30]) | JSON_VALUES.filter(
+    lambda v: type(v) is not int)
+NZ_PAIRS = st.tuples(st.integers(-2, 7), st.floats() | st.integers() | JSON_VALUES).map(list) | JSON_VALUES
+
+
+@st.composite
+def sparse_documents(draw):
+    rows = draw(st.lists(st.fixed_dictionaries(
+        {"nz": st.lists(NZ_PAIRS, max_size=4) | JSON_VALUES},
+        optional={"t": st.integers(-1, 4) | JSON_VALUES}) | JSON_VALUES, max_size=4))
+    if draw(st.booleans()):  # rows in order, so that more documents pass the row checks
+        rows = [dict(row, t=k) if isinstance(row, dict) else row for k, row in enumerate(rows)]
+    doc = draw(st.fixed_dictionaries({}, optional={
+        "n": SIZES, "u": st.floats() | st.integers(-1, 3) | JSON_VALUES, "rows": st.just(rows) | JSON_VALUES}))
+    return json.dumps(doc)
+
+
+CELLS = st.sampled_from(["0", "1.5", "-1", "nan", "inf", "1e308", "1e999", "", "t", '"', "x"]) | (
+    st.floats().map(repr)) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
+
+
+@st.composite
+def dense_csv_texts(draw):
+    width = draw(st.integers(0, 4))
+    header = ["t"] + [f"q_{i}" for i in range(width)] if draw(st.booleans()) else draw(st.lists(CELLS, max_size=5))
+    rows = draw(st.lists(st.lists(CELLS, min_size=width, max_size=width + 2), max_size=4))
+    return "\n".join(",".join(row) for row in [header] + rows) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+class TestTraceLoaderFuzz:
+    """Any trace document ends in output or in exit 2 or 3 with a message, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=sparse_documents() | dense_csv_texts() | st.text(st.characters(blacklist_categories=("Cs",))))
+    # an n whose dense states cannot be allocated, and a CSV field past the csv module's limit
+    @example(text='{"n": 10000000000000, "u": 1.0, "rows": [{"t": 0, "nz": []}]}')
+    @example(text="t,q_0\n0," + "1" * 200_000 + "\n")
+    def test_text_traces(self, tmp_path_factory, text):
+        trace = tmp_path_factory.getbasetemp() / "fuzz_trace"
+        trace.write_text(text, encoding="utf-8")
+        assert run(["trajectory", "--trace", trace]) in (0, 2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(max_size=40))
+    def test_byte_traces(self, tmp_path_factory, data):
+        trace = tmp_path_factory.getbasetemp() / "fuzz_trace"
+        trace.write_bytes(data)
+        assert run(["trajectory", "--trace", trace]) in (0, 2, 3)
 
 
 class TestRadar:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mixbiotic.simulation as simulation
 import reference_impl as reference
 from mixbiotic.graph import Graph
 from mixbiotic.generators import BaParams, WsParams, generate_network, generate_ws
@@ -28,7 +29,7 @@ def rng_of(seed=0):
 
 
 def source_of(rng):
-    return WordSource(rng.bit_generator)
+    return reference.RewindableSource(rng.bit_generator)
 
 
 class StubWords:
@@ -65,7 +66,7 @@ class TestSampling:
     def test_uniform_subsets(self):
         pop = np.arange(5)
         seen = set()
-        source = source_of(rng_of(1))
+        source = WordSource(1)
         for _ in range(2000):
             seen.add(tuple(sorted(sample_without_replacement(source, pop, 2))))
         assert len(seen) == 10  # every 2-subset occurs
@@ -79,7 +80,7 @@ class TestSampling:
 
     def test_overdraw_rejected(self):
         with pytest.raises(ValueError):
-            sample_without_replacement(source_of(rng_of(0)), np.arange(3), 4)
+            sample_without_replacement(WordSource(0), np.arange(3), 4)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 1000, 2**32 - 1, 2**32, 2**32 + 1, 2**33])
     def test_broadcast_draw_is_the_scalar_stream(self, m):
@@ -159,7 +160,7 @@ class TestWordSource:
     def test_forced_rejection(self):
         # m = 3: draw 0 has r = 3 and threshold 2**32 % 3 = 1, so a zero half is rejected
         stub = StubWords([0x80000000_00000000, 0x12345678_C0000000])
-        source = WordSource(stub)
+        source = reference.RewindableSource(stub)
         # draw 0 redraws from 2**31: 3 * 2**31 >> 32 = 1; draw 1 (r = 2) takes 3 * 2**30: 1 + 1 = 2
         assert source.swap_indices(3, 2) == [1, 2]
         source.write_back()
@@ -171,51 +172,51 @@ class TestWordSource:
 class TestInitState:
     def test_exact_seed_count(self):
         cfg = SimConfig(g=0.4, d=0.3, n_0=10)
-        counts = init_state(cfg, 100, source_of(rng_of(4)))
+        counts = init_state(cfg, 100, WordSource(4))
         assert int((counts == 1).sum()) == 10
         assert int((counts == 0).sum()) == 90
 
     def test_all_vertices_seeded(self):
         cfg = SimConfig(g=0, d=0, n_0=5)
-        counts = init_state(cfg, 5, source_of(rng_of(4)))
+        counts = init_state(cfg, 5, WordSource(4))
         assert (counts == 1).all()
 
     def test_empty_seed(self):
         cfg = SimConfig(g=0, d=0, n_0=0)
-        assert (init_state(cfg, 5, source_of(rng_of(4))) == 0).all()
+        assert (init_state(cfg, 5, WordSource(4)) == 0).all()
 
     def test_overfull_seed_rejected(self):
         with pytest.raises(ValueError):
-            init_state(SimConfig(g=0, d=0, n_0=6), 5, source_of(rng_of(4)))
+            init_state(SimConfig(g=0, d=0, n_0=6), 5, WordSource(4))
 
 
 class TestSimStep:
     def test_hand_trace_send_only(self):
         # g=1 selects every informed vertex and every receiver deterministically
         cfg = SimConfig(g=1.0, d=0.0)
-        counts = sim_step(np.array([1, 0, 0]), PATH3, cfg, source_of(rng_of(0)))
+        counts = sim_step(np.array([1, 0, 0]), PATH3, cfg, WordSource(0))
         assert counts.tolist() == [1, 1, 0]
 
     def test_hand_trace_send_then_full_erase(self):
         cfg = SimConfig(g=1.0, d=1.0)
-        counts = sim_step(np.array([1, 0, 0]), PATH3, cfg, source_of(rng_of(0)))
+        counts = sim_step(np.array([1, 0, 0]), PATH3, cfg, WordSource(0))
         assert counts.tolist() == [0, 0, 0]
 
     def test_hand_trace_no_generation(self):
         cfg = SimConfig(g=0.0, d=1.0)
-        counts = sim_step(np.array([1, 1, 0]), PATH3, cfg, source_of(rng_of(0)))
+        counts = sim_step(np.array([1, 1, 0]), PATH3, cfg, WordSource(0))
         assert counts.tolist() == [0, 0, 0]
 
     def test_accumulates_across_senders(self):
         # both ends of a path send to the middle: it gains two units
         star = Graph(3, [(0, 1), (2, 1)])
         cfg = SimConfig(g=1.0, d=0.0)
-        counts = sim_step(np.array([1, 0, 1]), star, cfg, source_of(rng_of(0)))
+        counts = sim_step(np.array([1, 0, 1]), star, cfg, WordSource(0))
         assert counts.tolist() == [1, 2, 1]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            sim_step(np.zeros(4, dtype=np.int64), PATH3, SimConfig(g=0, d=0), source_of(rng_of(0)))
+            sim_step(np.zeros(4, dtype=np.int64), PATH3, SimConfig(g=0, d=0), WordSource(0))
 
 
 class TestDenseReference:
@@ -314,8 +315,16 @@ class TestRunSim:
 class TestInvariants:
     """Randomized step battery for the structural model invariants."""
 
-    def test_randomized_steps(self):
-        source = source_of(np.random.default_rng(2024))
+    def test_randomized_steps(self, monkeypatch):
+        picks = []  # (population, k, chosen) of each selection of one step, in draw order
+
+        def recorded(source, population, k):
+            chosen = sample_without_replacement(source, population, k)
+            picks.append((population, k, chosen))
+            return chosen
+
+        monkeypatch.setattr(simulation, "sample_without_replacement", recorded)
+        source = WordSource(2024)
         param_rng = np.random.default_rng(512)
         checked = 0
         while checked < 10_000:
@@ -323,14 +332,23 @@ class TestInvariants:
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if param_rng.random() < 0.4]
             graph = Graph(n, edges)
+            adj = reference.adjacency_matrix(graph)
             g = float(param_rng.choice([0.0, 0.3, 0.7, 1.0]))
             d = float(param_rng.choice([0.0, 0.4, 1.0]))
             cfg = SimConfig(g=g, d=d, n_0=int(param_rng.integers(0, n + 1)))
             counts = init_state(cfg, n, source)
             for _ in range(25):
                 before = counts
+                picks.clear()
                 counts = sim_step(counts, graph, cfg, source)
                 checked += 1
+                # erasure zeroes exactly Round[d * n'_inf] vertices of the post-delivery support
+                (_, _, senders), (_, _, receivers), (support, n_d, erased) = picks
+                delivered = before.copy()
+                delivered[receivers] += adj[np.ix_(senders, receivers)].sum(axis=0, dtype=np.int64)
+                assert support.tolist() == np.flatnonzero(delivered).tolist()
+                assert n_d == len(erased) == round_half_away(d * len(support))
+                assert np.count_nonzero(counts) == len(support) - n_d
                 # non-negativity
                 assert (counts >= 0).all()
                 # absorbing death

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,8 +59,10 @@ class TestTrialSeeds:
         seen = {trial_seeds(1, p, t) for p in range(5) for t in range(5)}
         assert len(seen) == 25
 
-    def test_negative_base_seed_accepted(self):
-        assert trial_seeds(-1, 0, 0) == trial_seeds(-1, 0, 0)
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+    def test_base_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ValueError, match="--seed must be in"):
+            replace(SMALL_CFG, base_seed=seed).validate()
 
 
 class TestNormalization:
