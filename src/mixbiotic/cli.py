@@ -44,7 +44,7 @@ class InputError(Exception):
 def _read(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise InputError(str(exc)) from exc
 
 
@@ -168,6 +168,7 @@ def cmd_sweep(args) -> int:
         n_0=args.n0, base_seed=args.seed, nihilism_threshold=args.threshold,
         fresh_network=not args.fixed_network,
     )
+    cfg.validate()
     mesh = _mesh_from_flag(args.mesh)
     _echo_config("sweep", {
         "model": args.model, "network": vars(network).copy(), "trials": args.trials,
@@ -202,7 +203,7 @@ def cmd_measure(args) -> int:
 def cmd_trajectory(args) -> int:
     _echo_config("trajectory", {"trace": args.trace})
     states, _u = _read(load_trace, args.trace)
-    points = trajectory(states)
+    points = _read(trajectory, states)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["t", "r", "theta"])

@@ -300,7 +300,7 @@ def aggregate_graph(log: EventLog) -> Graph:
         raise ValueError("event log is empty")
     n = log.vertex_count
     keys = np.unique(np.minimum(log.src, log.dst) * n + np.maximum(log.src, log.dst))
-    return Graph(n, zip((keys // n).tolist(), (keys % n).tolist()))
+    return Graph._from_keys(n, keys)
 
 
 def _count_series(log: EventLog, endpoints: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

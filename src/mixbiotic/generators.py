@@ -4,7 +4,11 @@ Both generators are pure functions of (params, seed). Randomness comes
 from numpy's PCG64 via ``np.random.default_rng(seed)``; the only stream
 primitives consumed are ``Generator.random()`` and ``Generator.integers()``,
 in the orders documented on each function, so a run is reproducible from
-the seed alone.
+the seed alone. ``generate_ws`` reads that stream from the raw words of
+``PCG64(seed)``: ``random()`` takes a whole word w as (w >> 11) * 2**-53,
+and ``integers(0, n)`` takes 32-bit halves, the low half first, with
+Lemire rejection as in ``simulation``; a leftover half outlives
+``random()`` calls, as numpy's 32-bit buffer does.
 """
 
 from __future__ import annotations
@@ -65,6 +69,33 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"--seed must be in [0, 2**64), got {seed}")
 
 
+def _raw_words(bit_generator):
+    while True:
+        yield from bit_generator.random_raw(256).tolist()  # raw 64-bit words, 256 per read
+
+
+class _Draws:
+    """``random()`` and ``integers(0, n)``, 2 <= n <= 2**32, of ``default_rng(seed)``, from raw words."""
+
+    def __init__(self, bit_generator):
+        self._word = _raw_words(bit_generator).__next__
+        self._half = None  # the high half of the last word split, not drawn yet
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, n: int) -> int:
+        threshold = (2**32 - n) % n
+        while True:
+            if self._half is None:
+                word = self._word()
+                half, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                half, self._half = self._half, None
+            if half * n & 0xFFFFFFFF >= threshold:
+                return half * n >> 32
+
+
 def generate_ws(params: WsParams, seed: int) -> Graph:
     """Small-world graph: ring lattice with random edge rewiring.
 
@@ -81,28 +112,20 @@ def generate_ws(params: WsParams, seed: int) -> Graph:
     """
     params.validate()
     n, k, p = params.n, params.k, params.p
-    rng = np.random.default_rng(seed)
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for offset in range(1, k // 2 + 1):
-        for i in range(n):
-            j = (i + offset) % n
-            neighbors[i].add(j)
-            neighbors[j].add(i)
-    for offset in range(1, k // 2 + 1):
-        for i in range(n):
-            j = (i + offset) % n
-            if rng.random() >= p:
-                continue
-            for _ in range(n):
-                h = int(rng.integers(0, n))
-                if h != i and h not in neighbors[i]:
-                    neighbors[i].remove(j)
-                    neighbors[j].remove(i)
-                    neighbors[i].add(h)
-                    neighbors[h].add(i)
-                    break
-    edges = [(i, j) for i in range(n) for j in neighbors[i] if i < j]
-    return Graph(n, edges)
+    draws = _Draws(np.random.PCG64(seed))
+    lattice = [(i, (i + offset) % n) for offset in range(1, k // 2 + 1) for i in range(n)]
+    keys = {i * n + j if i < j else j * n + i for i, j in lattice}  # edge (i, j) is key i * n + j, i < j
+    for i, j in lattice:
+        if draws.random() >= p:
+            continue
+        for _ in range(n):
+            h = draws.integers(n)
+            new = i * n + h if i < h else h * n + i
+            if h != i and new not in keys:
+                keys.remove(i * n + j if i < j else j * n + i)
+                keys.add(new)
+                break
+    return Graph._from_keys(n, np.sort(np.fromiter(keys, dtype=np.int64, count=len(keys))))
 
 
 def generate_network(params: WsParams | BaParams, seed: int) -> Graph:
@@ -131,7 +154,7 @@ def generate_ba(params: BaParams, seed: int) -> Graph:
     n, n_a, k = params.n, params.n_a, params.k
     rng = np.random.default_rng(seed)
     doubles = iter(rng.random(k * (n - n_a)).tolist())
-    edges = [(i, j) for i in range(n_a) for j in range(i + 1, n_a)]
+    keys = [i * n + j for i in range(n_a) for j in range(i + 1, n_a)]
     degree = [n_a - 1] * n_a + [0] * (n - n_a)
     for v in range(n_a, n):
         weights = degree[:v]
@@ -147,7 +170,7 @@ def generate_ba(params: BaParams, seed: int) -> Graph:
             targets.append(t)
             weights[t] = 0
         for t in targets:
-            edges.append((t, v))
+            keys.append(t * n + v)
             degree[t] += 1
             degree[v] += 1
-    return Graph(n, edges)
+    return Graph._from_keys(n, np.sort(np.array(keys, dtype=np.int64)))

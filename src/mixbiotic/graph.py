@@ -2,9 +2,9 @@
 
 Graphs are immutable: a vertex count plus a deduplicated set of unordered
 edges (i, j) with i < j; the count and every endpoint must be ``int``.
-The only adjacency is a pair of CSR arrays built with the graph;
-``Graph.arcs`` gathers the arcs leaving a set of vertices for the
-simulation's delivery, the distance BFS and the clustering.
+The only adjacency is a CSR built from the sorted edge keys i * n + j: arc
+r runs from ``tails[r]``, its CSR row, to ``indices[r]``; ``Graph.arcs``
+gathers the arcs leaving a set of vertices for the BFS and the clustering.
 
 Serialization format (JSON)::
 
@@ -24,15 +24,15 @@ import numpy as np
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "indptr", "indices")
+    __slots__ = ("n", "edges", "indptr", "indices", "tails")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         # bool is an int subclass, and JSON true would silently be vertex 1
         if type(n) is not int:
             raise ValueError(f"vertex count must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {n}")
-        canon = set()
+        if not 1 <= n <= 2**28:  # load_trace's cap on dense values; keys i * n + j fit int64
+            raise ValueError(f"vertex count must be in [1, 2**28], got {n}")
+        keys = set()
         for i, j in edges:
             if type(i) is not int or type(j) is not int:
                 raise ValueError(f"edge ({i!r},{j!r}) endpoints must be integers")
@@ -40,15 +40,24 @@ class Graph:
                 raise ValueError(f"self-loop ({i},{i}) is not allowed")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-            canon.add((i, j) if i < j else (j, i))
-        self.n = int(n)
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
+            keys.add(i * n + j if i < j else j * n + i)
+        self._build(n, np.sort(np.fromiter(keys, dtype=np.int64, count=len(keys))))
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
+        """The graph of trusted, sorted, unique int64 edge keys i * n + j with i < j."""
+        g = cls.__new__(cls)
+        g._build(n, keys)
+        return g
+
+    def _build(self, n: int, keys: np.ndarray) -> None:
+        self.n = n
+        low, high = np.divmod(keys, n)
+        self.edges: tuple[tuple[int, int], ...] = tuple(zip(low.tolist(), high.tolist()))
         # CSR adjacency: the neighbors of v are indices[indptr[v]:indptr[v + 1]], ascending
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        src, dst = np.concatenate([ends, ends[:, ::-1]]).T  # both arcs of every edge
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
-        self.indices = dst[np.argsort(src * n + dst)]
+        arc_keys = np.sort(np.concatenate((keys, high * n + low)))  # both arcs of every edge
+        self.tails, self.indices = np.divmod(arc_keys, n)
+        self.indptr = np.searchsorted(self.tails, np.arange(n + 1))
 
     @property
     def edge_count(self) -> int:
@@ -131,7 +140,7 @@ def local_clustering(g: Graph) -> np.ndarray:
     """
     n = g.n
     deg = np.diff(g.indptr)
-    src, dst = g.arcs(np.arange(n))
+    src, dst = g.tails, g.indices
     arc_keys = src * n + dst  # ascending
     low = np.where(deg[src] <= deg[dst], src, dst)
     slot, w = g.arcs(low)

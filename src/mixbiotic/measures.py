@@ -31,9 +31,9 @@ composite phase measures:
   m_mob  = mu_L      (large pattern displacement)
 
 Polar trajectory coordinates per state: r = ||q||, theta = angle between
-q and the all-ones vector; the zero vector maps to (0, 0). ``_polar``
-computes each point from sum(q), sum(q^2) and n, for ``trajectory`` and
-``datasets.dataset_trajectory`` alike.
+q and the all-ones vector; the zero vector maps to (0, 0), and a state
+whose n * Σq² overflows is refused. ``_polar`` computes each point from
+sum(q), sum(q^2) and n, for ``trajectory`` and ``dataset_trajectory``.
 """
 
 from __future__ import annotations
@@ -193,4 +193,9 @@ def trajectory(trace) -> list[PolarPoint]:
         raise ValueError("trace must be a nonempty sequence of vectors")
     # per-row np.dot: a vectorised row dot (einsum, (t*t).sum(axis=1)) differs in the last bits
     n = trace.shape[1]
-    return [_polar(float(row.sum()), float(np.dot(row, row)), n) for row in trace]
+    with np.errstate(over="ignore"):
+        sqs = [float(np.dot(row, row)) for row in trace]
+    for t, sq in enumerate(sqs):
+        if not math.isfinite(sq * n):  # theta would read pi/2 and r inf
+            raise ValueError(f"trace row {t} is too large: its squared norm times n overflows")
+    return [_polar(float(row.sum()), sq, n) for row, sq in zip(trace, sqs)]

@@ -38,9 +38,9 @@ state, and so n_inf and both counts, as they were. The draws the skipped
 steps would have made come from the run's own source, which is
 discarded, so no row changes.
 
-Delivery gathers every arc leaving a sender with ``Graph.arcs``, keeps
-the arcs that end on a receiver, and adds one unit to that receiver per
-such arc.
+Delivery marks the senders and the receivers in two vertex masks, keeps
+every arc of the graph's CSR whose tail is a sender and whose head is a
+receiver, and adds one unit to that receiver per such arc.
 
 Trace serialization: dense CSV with header ``t,q_0,...,q_{n-1}`` or a
 sparse JSON document ``{"n": n, "u": u, "rows": [{"t": k,
@@ -204,10 +204,10 @@ def sim_step(counts: np.ndarray, graph: Graph, cfg: SimConfig, source: WordSourc
 
     if n_s and n_r:
         # one unit per adjacent (sender, receiver) pair, accumulated
-        _, nbrs = graph.arcs(senders)
-        is_receiver = np.zeros(n, dtype=bool)
-        is_receiver[receivers] = True
-        counts += np.bincount(nbrs[is_receiver[nbrs]], minlength=n)
+        is_sender, is_receiver = np.zeros((2, n), dtype=bool)
+        is_sender[senders] = is_receiver[receivers] = True
+        heads = graph.indices
+        counts += np.bincount(heads[is_sender[graph.tails] & is_receiver[heads]], minlength=n)
 
     support = np.flatnonzero(counts)
     n_d = round_half_away(cfg.d * len(support))

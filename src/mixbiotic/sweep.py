@@ -116,6 +116,8 @@ class SweepConfig:
         check_seed(self.base_seed)
         n = graph.n if graph is not None else self.network.n
         SimConfig(g=0.0, d=0.0, t_max=self.t_max, n_0=self.n_0).validate(n)
+        if (self.t_max + 1) * n > 2**28:  # a count history past 2 GiB, the trace loader's cap
+            raise ValueError(f"--tmax {self.t_max} is too large: (t_max + 1) * n passes 2**28 values")
 
     @property
     def model(self) -> str:

@@ -1,11 +1,13 @@
 """Straightforward loop versions of the simulation, generator and event-log hot paths.
 
 These are test-only oracles. The library versions batch the selection
-draws, deliver through CSR arrays, accumulate integer degrees and format
-each distinct count once; these versions draw one scalar ``integers(i, m)``
-per selected element, deliver through a dense adjacency matrix, take float
-cumulative sums per draw and format every cell of a float copy of the
-trace. Both must consume the same PCG64 stream in the same order and give
+draws, deliver through CSR arrays, read the small-world draws from raw
+PCG64 words, accumulate integer degrees and format each distinct count
+once; these versions draw one scalar ``integers(i, m)`` per selected
+element, deliver through a dense adjacency matrix, rewire through
+``Generator.random()`` and ``Generator.integers()`` on neighbor sets,
+take float cumulative sums per draw and format every cell of a float
+copy of the trace. Both must consume the same PCG64 stream in the same order and give
 exactly equal results. ``RewindableSource`` runs the library's
 ``WordSource`` on a caller's bit generator and can hand the stream back,
 so tests can compare generator states with these oracles.
@@ -127,6 +129,35 @@ def sim_step(counts, graph, cfg, rng, adj=None):
     n_d = round_half_away(cfg.d * len(support))
     counts[sample_without_replacement(rng, support, n_d)] = 0
     return counts
+
+
+def generate_ws(params, seed):
+    """Ring rewiring with one scalar ``random()`` per lattice edge and one
+    ``integers(0, n)`` per redraw, on per-vertex neighbor sets."""
+    params.validate()
+    n, k, p = params.n, params.k, params.p
+    rng = np.random.default_rng(seed)
+    neighbors = [set() for _ in range(n)]
+    for offset in range(1, k // 2 + 1):
+        for i in range(n):
+            j = (i + offset) % n
+            neighbors[i].add(j)
+            neighbors[j].add(i)
+    for offset in range(1, k // 2 + 1):
+        for i in range(n):
+            j = (i + offset) % n
+            if rng.random() >= p:
+                continue
+            for _ in range(n):
+                h = int(rng.integers(0, n))
+                if h != i and h not in neighbors[i]:
+                    neighbors[i].remove(j)
+                    neighbors[j].remove(i)
+                    neighbors[i].add(h)
+                    neighbors[h].add(i)
+                    break
+    edges = [(i, j) for i in range(n) for j in neighbors[i] if i < j]
+    return Graph(n, edges)
 
 
 def generate_ba(params, seed):

@@ -266,8 +266,28 @@ class TestRejectedBeforeAnyWork:
     def test_seed_outside_uint64(self, tmp_path, capsys, command, seed):
         out = tmp_path / "out"
         assert run([*self.COMMANDS[command], "--seed", seed, "--out", out]) == 3
-        assert f"--seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
-        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"--seed must be in [0, 2**64), got {seed}" in err
+        assert "config" not in err and not out.exists()
+
+    def test_sweep_validates_before_reading_the_mesh_file(self, tmp_path, capsys):
+        argv = [*self.COMMANDS["sweep"][:-1], f"file:{tmp_path / 'missing.json'}"]
+        assert run([*argv, "--seed", "-1", "--out", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert "--seed must be in" in err and "config" not in err
+
+    @pytest.mark.parametrize("tmax", [2**28 // 20, 10**11])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_tmax_past_the_history_cap(self, tmp_path, capsys, command, tmax):
+        # at n = 20, t_max = 2**28 // 20 makes (t_max + 1) * n = 2**28 + 8 history values
+        assert run([*self.COMMANDS[command], "--tmax", tmax, "--out", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert f"--tmax {tmax} is too large" in err and "config" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_tmax_at_the_history_cap_starts_work(self, tmp_path, command):
+        with pytest.raises(AssertionError, match="started work"):
+            run([*self.COMMANDS[command], "--tmax", 2**28 // 20 - 1, "--out", tmp_path / "out"])
 
     @pytest.mark.parametrize("command, flag", [
         ("gen", "--out"), ("simulate", "--out"), ("simulate", "--measures"),
@@ -406,6 +426,29 @@ class TestTrajectory:
                         "--out", tmp_path / f"polar_{ext}.csv"]) == 0
         assert (tmp_path / "polar_json.csv").read_bytes() == (tmp_path / "polar_csv.csv").read_bytes()
 
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning included
+    @pytest.mark.parametrize("rows, row", [
+        ("0,1e200,1e200\n1,1e300,0\n", 0),
+        ("0,1e150,1e150\n1,1e160,0\n", 1),
+        ("0,1e150,1e150\n1,1.2e154,0\n", 1),  # Σq² is finite, n·Σq² is not: theta read pi/2
+    ], ids=["first-row", "second-row", "sum-times-n"])
+    def test_overflowing_row_is_refused(self, tmp_path, capsys, rows, row):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,q_0,q_1\n" + rows)
+        assert run(["trajectory", "--trace", trace, "--out", tmp_path / "polar.csv"]) == 2
+        err = capsys.readouterr().err
+        assert f"trace row {row} is too large" in err and "Traceback" not in err
+        assert not (tmp_path / "polar.csv").exists()
+
+    def test_large_rows_below_the_overflow_keep_their_bytes(self, tmp_path, capsys):
+        # n·Σq² is 1.44e308 and 1.62e308 in rows 1 and 2, below the float maximum 1.797e308
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,q_0,q_1\n0,1e150,1e150\n1,6e153,6e153\n2,9e153,0\n")
+        assert run(["trajectory", "--trace", trace]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "t,r,theta", "0,1.414213562373095e+150,0.0", "1,8.485281374238571e+153,0.0",
+            "2,9e+153,0.7853981633974484"]
+
     @pytest.mark.parametrize("name, text, message", [
         ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[-1, 2.0]]}]}', "index -1"),
         ("trace.json", '{"n": 3, "u": 1.0, "rows": [{"t": 0, "nz": [[5, 2.0]]}]}', "index 5"),
@@ -502,6 +545,43 @@ class TestTraceLoaderFuzz:
         trace = tmp_path_factory.getbasetemp() / "fuzz_trace"
         trace.write_bytes(data)
         assert run(["trajectory", "--trace", trace]) in (0, 2, 3)
+
+
+# a vertex count past the graph's 2**28 cap is refused before any allocation; smaller ones stay tiny
+GRAPH_SIZES = st.integers(-2, 8) | st.sampled_from([2**63, 10**13, 10**30]) | JSON_VALUES.filter(
+    lambda v: type(v) is not int)
+ENDPOINTS = st.integers(-2, 8) | JSON_VALUES
+
+
+@st.composite
+def graph_documents(draw):
+    if draw(st.booleans()):  # well-typed documents, so that more of them reach the statistics
+        n = draw(st.integers(1, 8))
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2)
+        return json.dumps({"n": n, "edges": draw(st.lists(pair, max_size=6))})
+    edges = st.lists(st.lists(ENDPOINTS, min_size=2, max_size=2) | JSON_VALUES, max_size=8) | JSON_VALUES
+    return json.dumps(draw(st.fixed_dictionaries({}, optional={"n": GRAPH_SIZES, "edges": edges}) | JSON_VALUES))
+
+
+class TestGraphLoaderFuzz:
+    """Any graph document ends in statistics or in exit 2 or 3 with a message, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=graph_documents() | st.text(st.characters(blacklist_categories=("Cs",))))
+    # a vertex count whose CSR cannot be allocated, and JSON nested past the recursion limit
+    @example(text='{"n": 10000000000000, "edges": []}')
+    @example(text="[" * 100_000)
+    def test_text_graphs(self, tmp_path_factory, text):
+        graph = tmp_path_factory.getbasetemp() / "fuzz_graph"
+        graph.write_text(text, encoding="utf-8")
+        assert run(["stats", "--graph", graph]) in (0, 2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(max_size=40))
+    def test_byte_graphs(self, tmp_path_factory, data):
+        graph = tmp_path_factory.getbasetemp() / "fuzz_graph"
+        graph.write_bytes(data)
+        assert run(["stats", "--graph", graph]) in (0, 2, 3)
 
 
 class TestRadar:

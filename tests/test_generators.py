@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reference_impl as reference
-from mixbiotic.generators import BaParams, WsParams, generate_ba, generate_ws
+from mixbiotic.generators import BaParams, WsParams, _Draws, generate_ba, generate_ws
 from mixbiotic.graph import graph_stats
 
 
@@ -36,6 +36,56 @@ class TestWsGenerator:
     def test_invalid_params(self, n, k, p):
         with pytest.raises(ValueError):
             generate_ws(WsParams(n, k, p), seed=0)
+
+    SIZES = [(3, 2), (5, 2), (10, 4), (30, 6), (100, 4), (101, 8), (20, 18)]
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
+    def test_matches_scalar_generator_reference(self, p):
+        # 7 sizes x 25 seeds and 3 large cases at each of the 4 p: 712 cases
+        cases = [(WsParams(n, k, p), seed) for n, k in self.SIZES for seed in range(25)]
+        cases += [(WsParams(1000, 6, p), 0), (WsParams(1000, 6, p), 1), (WsParams(3000, 4, p), 2)]
+        for params, seed in cases:
+            assert generate_ws(params, seed) == reference.generate_ws(params, seed), (params, seed)
+
+
+class StubRaw:
+    """A bit generator stand-in whose ``random_raw`` hands out fixed words, then 2**31 + 2**63."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out + [0x80000000_80000000] * (size - len(out)), dtype=np.uint64)
+
+
+class TestDraws:
+    @pytest.mark.parametrize("n", [2, 3, 100, 3000, 2**31 + 1, 2**32])
+    def test_interleaved_draws_are_the_generator_stream(self, n):
+        # near 2**31 + 1 about half of all halves are rejected
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            draws = _Draws(np.random.PCG64(seed))
+            for use_random in np.random.default_rng(100 + seed).random(600) < 0.4:
+                if use_random:
+                    assert draws.random() == rng.random()
+                else:
+                    assert draws.integers(n) == rng.integers(0, n)
+
+    def test_forced_rejection(self):
+        # n = 3: the threshold is (2**32 - 3) % 3 = 1, so a half h is rejected when 3h % 2**32 == 0
+        words = [0x80000000_00000000, 0x40000000_FFFFFFFF, 0xC0000000_00000000, 0xAAAAAAAB]
+        draws = _Draws(StubRaw(words))
+        # the low half 0 is rejected; the high half gives 3 * 2**31 >> 32 = 1
+        assert draws.integers(3) == 1
+        # word 1's low half: 3 * (2**32 - 1) >> 32 = 2, and its high half 2**30 is buffered
+        assert draws.integers(3) == 2
+        # random() takes the whole next word, (0xC0000000_00000000 >> 11) * 2**-53 = 0.75
+        assert draws.random() == 0.75
+        # the buffered half survives it: 3 * 2**30 >> 32 = 0
+        assert draws.integers(3) == 0
+        # 3 * 0xAAAAAAAB = 2**33 + 1: its low 32 bits, 1, equal the threshold, so it is kept
+        assert draws.integers(3) == 2
 
 
 class TestBaGenerator:

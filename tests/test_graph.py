@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mixbiotic.graph as graph_module
 import reference_impl as reference
@@ -75,6 +76,31 @@ class TestBuildGraph:
             slot, nbr = g.arcs(vertices)
             expected = [(s, w) for s, v in enumerate(vertices.tolist()) for w in sorted(sets[v])]
             assert list(zip(slot.tolist(), nbr.tolist())) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 12), data=st.data())
+    def test_key_builder_equals_the_checked_constructor(self, n, data):
+        # pairs in any order and with repeats, so some vertices stay isolated and some graphs have no edge
+        ends = st.integers(0, n - 1)
+        pairs = [e for e in data.draw(st.lists(st.tuples(ends, ends), max_size=2 * n)) if e[0] != e[1]]
+        checked = Graph(n, pairs)
+        keys = np.array(sorted({min(e) * n + max(e) for e in pairs}), dtype=np.int64)
+        built = Graph._from_keys(n, keys)
+        assert built == checked and built.edges == checked.edges
+        for name in ("indptr", "indices", "tails"):
+            assert getattr(built, name).dtype == np.int64
+            assert getattr(built, name).tolist() == getattr(checked, name).tolist(), name
+        # the oracle: arc r runs from tails[r] to indices[r], row by row, each row ascending
+        sets = reference.neighbor_sets(checked)
+        assert list(zip(built.tails.tolist(), built.indices.tolist())) == [
+            (v, w) for v in range(n) for w in sorted(sets[v])]
+        assert built.indptr.tolist() == [0, *np.cumsum([len(s) for s in sets]).tolist()]
+
+    @pytest.mark.parametrize("n", [0, -1, 10**13, 2**63])
+    def test_vertex_count_outside_range_rejected(self, n):
+        # refused before any array of n entries is made
+        with pytest.raises(ValueError, match=r"vertex count must be in \[1, 2\*\*28\]"):
+            Graph(n, [])
 
     @pytest.mark.parametrize("n,edges", [
         (3.0, [(0, 1)]), ("3", [(0, 1)]), (True, []),
