@@ -131,7 +131,7 @@ def cmd_simulate(args) -> int:
         "graph": args.graph, "model": args.model if not args.graph else None,
     }
     _echo_config("simulate", cfg_items)
-    measures, first_counts = run_point(cfg, args.g, args.d, 0, graph)
+    measures, first_counts = run_point(cfg, args.g, args.d, 0, graph, history=bool(args.out))
     if args.out:
         if str(args.out).endswith(".json"):
             save_trace_sparse_json(first_counts, args.out, args.u)

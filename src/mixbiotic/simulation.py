@@ -15,14 +15,13 @@ One step:
      support and zero them out
 
 Round is round-half-away-from-zero. RNG stream order is part of the
-reproducibility contract: the seed-selection of the initial informed set,
-then per step senders, receivers, erasures. A selection of k from m takes
-the k swap indices j_i of a partial Fisher-Yates shuffle from a
-``WordSource``, which turns raw PCG64 words into exactly the values and
-stream of one broadcast ``Generator.integers(np.arange(k), m)`` call, that
-is, of k scalar ``integers(i, m)`` calls in order, from one source per
-run that reads its own PCG64 forward only. Each draw takes one 32-bit
-half h of a word, the low half first; a half left over is carried to the
+reproducibility contract: each trial reads its own ``PCG64(seed)`` for
+the seed-selection of the initial informed set, then per step senders,
+receivers, erasures. A selection of k from m takes the k swap indices j_i
+of a partial Fisher-Yates shuffle, with exactly the values and stream of
+one broadcast ``Generator.integers(np.arange(k), m)`` call, that is, of k
+scalar ``integers(i, m)`` calls in order. Each draw takes one 32-bit half
+h of a raw word, the low half first; a half left over is carried to the
 next selection, as numpy's 32-bit buffer does.
 Draw i has the range r = m - i and gives j_i = i + (h * r >> 32) (Lemire
 2019, "Fast random integer generation in an interval", ACM TOMACS 29(1));
@@ -30,17 +29,15 @@ it is drawn again from the next half when the low 32 bits of h * r fall
 below (2**32 - r) mod r. A range of 1 (i = m - 1) returns i and consumes
 no half, and empty selections consume nothing.
 
-``run_sim`` stops stepping once Round[g * n_inf] and Round[d * n_inf] are
-both zero, extinction (n_inf = 0) included, and repeats the counts in
-every later history row. With no sender there is no delivery, so the
-support stays the informed set and nothing is erased: the step leaves the
-state, and so n_inf and both counts, as they were. The draws the skipped
-steps would have made come from the run's own source, which is
-discarded, so no row changes.
+``run_trials`` runs trials in a pool of ``pool_rows`` rows that step
+together, a trial leaving its row when it ends. Each row reads its own
+stream ahead (a trial's stream is discarded when it ends) and keeps only
+the series the measures need, so no result depends on the pool's size.
 
-Delivery marks the senders and the receivers in two vertex masks, keeps
-every arc of the graph's CSR whose tail is a sender and whose head is a
-receiver, and adds one unit to that receiver per such arc.
+A trial stops stepping once Round[g * n_inf] and Round[d * n_inf] are
+both zero, extinction included: with no sender and nothing to erase, a
+step would leave the state, n_inf and both counts as they were, and the
+draws it would make come from the trial's own, discarded stream.
 
 Trace serialization: dense CSV with header ``t,q_0,...,q_{n-1}`` or a
 sparse JSON document ``{"n": n, "u": u, "rows": [{"t": k,
@@ -54,7 +51,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -63,92 +59,108 @@ import numpy as np
 from .graph import Graph
 
 _LOW32 = np.uint64(0xFFFFFFFF)
-_WORDS_AHEAD = 256  # raw words read per block
+_WORDS_AHEAD = 256  # raw words read per refill of a row
+_POOL_VALUES = 17_000  # working-set budget of a pool, in int64 values: rows * (n + 3 * (t_max + 1))
 
 
-def round_half_away(x: float) -> int:
-    """Round to nearest integer, halves away from zero."""
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
+def _round_counts(x: np.ndarray) -> np.ndarray:
+    """Round-half-away-from-zero of non-negative values, as int64."""
+    return (x + 0.5).astype(np.int64)  # truncation is floor for x + 0.5 > 0
+
+
+def pool_rows(n: int, t_max: int) -> int:
+    """Rows of a trial pool: as many as the working-set budget holds, at least one."""
+    return max(1, _POOL_VALUES // (n + 3 * (t_max + 1)))
 
 
 class WordSource:
-    """Bounded draws from the raw 64-bit words of ``np.random.PCG64(seed)``.
+    """Bounded draws for rows of trials, each on the raw words of its own bit generator,
+    read forward only in ``random_raw`` blocks, by the halves and rejections of the
+    module docstring. ``start`` gives a row a new stream, ``draw`` draws need[b] from row b."""
 
-    ``swap_indices(m, k)`` returns what ``Generator.integers(np.arange(k),
-    m)`` on ``np.random.default_rng(seed)`` would, and consumes the same
-    stream: see the module docstring for the halves, the rejections and
-    the range of 1. The source builds its own generator and reads it
-    forward only, in ``random_raw`` blocks, so no other draw can come
-    between its selections.
-    """
+    def __init__(self, rows: int):
+        self.rows = rows
+        self._bits = [None] * rows
+        # row b's halves[_pos[b]:_end[b]] are read but not drawn yet
+        self._halves = np.zeros((rows, 2 * _WORDS_AHEAD), dtype=np.uint32)
+        self._pos, self._end = np.zeros((2, rows), dtype=np.intp)
 
-    def __init__(self, seed: int):
-        self._pcg = np.random.PCG64(seed)
-        # _halves[_pos:] are read but not drawn yet; _halves always ends with whole words
-        self._halves = np.empty(0, dtype=np.uint32)
-        self._pos = 0
-        self._grow(0)
+    def start(self, row: int, bit_generator) -> None:
+        self._bits[row] = bit_generator
+        self._pos[row] = self._end[row] = 0
 
-    def swap_indices(self, m: int, k: int) -> list[int]:
-        """The k indices j_i in [i, m) of a partial Fisher-Yates shuffle of m items, 0 <= k <= m."""
-        end = min(k, m - 1)  # draw m - 1 has a range of 1
-        if len(self._down) < m:
-            self._grow(m)
-        base = len(self._down) - m  # _down[base + i] == m - i
-        out: list[int] = []
-        i = 0
-        while i < end:
-            c = end - i
-            if self._pos + c > len(self._halves):
-                self._read(c)
-            r = self._down[base + i:base + end]
-            product = self._halves[self._pos:self._pos + c] * r
-            low = product & _LOW32
-            ok = c
-            if low[low.argmin()] < m:  # a rejection needs low < (2**32 - r) % r < r <= m
-                rejected = np.flatnonzero(low < (2**32 - r) % r)
-                if len(rejected):
-                    ok = int(rejected[0])
-            out += ((product[:ok] >> 32) + self._up[i:i + ok]).tolist()
-            # a rejected draw spends its half and is drawn again from the next one
-            self._pos += ok + (ok < c)
-            i += ok
-        if k and k == m:
-            out.append(m - 1)
+    def draw(self, need: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Offsets h * r >> 32 in [0, r); ``r`` lists the ranges row by row, in draw order."""
+        for b in np.flatnonzero(self._end - self._pos < need):  # read on until need[b] halves are ahead
+            ahead = self._halves[b, self._pos[b]:self._end[b]]
+            words = self._bits[b].random_raw(max(_WORDS_AHEAD, (need[b] - len(ahead) + 1) // 2))
+            # little-endian words viewed as 32-bit halves come low half first
+            halves = np.concatenate((ahead, words.astype("<u8", copy=False).view("<u4")))
+            if len(halves) > self._halves.shape[1]:
+                grow = np.zeros((self.rows, len(halves) - self._halves.shape[1]), np.uint32)
+                self._halves = np.concatenate((self._halves, grow), axis=1)
+            self._halves[b, :len(halves)] = halves
+            self._pos[b], self._end[b] = 0, len(halves)
+        first = np.cumsum(need) - need  # index in r of each row's first draw
+        # draw q of row b takes the half at _pos[b] + q - first[b] of the row
+        shift = self._pos + np.arange(self.rows) * self._halves.shape[1] - first
+        r = r.astype(np.uint64)
+        product = self._halves.ravel()[np.arange(len(r)) + np.repeat(shift, need)] * r
+        self._pos += need
+        low = product & _LOW32
+        product >>= 32
+        out = product.view(np.int64)
+        if len(r) and low.min() < r.max():  # a rejection needs low < (2**32 - r) % r < r
+            rows = np.repeat(np.arange(self.rows), need)
+            rejected = np.flatnonzero(low < (2**32 - r) % r)
+            for b in dict.fromkeys(rows[rejected].tolist()):  # not np.unique: its first call costs 1.7 MB
+                q, end = rejected[rows[rejected] == b][0], first[b] + need[b]
+                # the rejected draw spends its half; the row draws again from the next one
+                self._pos[b] -= end - q - 1
+                out[q:end] = self.draw(np.where(np.arange(self.rows) == b, end - q, 0), r[q:end])
         return out
 
-    def _grow(self, m: int) -> None:
-        """Index and range tables for populations of up to m."""
-        self._up = np.arange(m, dtype=np.uint64)
-        self._down = np.arange(m, 0, -1, dtype=np.uint64)
 
-    def _read(self, c: int) -> None:
-        """Read words until c halves are ahead of the read position."""
-        ahead = self._halves[self._pos:]
-        words = self._pcg.random_raw(max(_WORDS_AHEAD, (c - len(ahead) + 1) // 2))
-        # little-endian words viewed as 32-bit halves come low half first
-        halves = words.astype("<u8", copy=False).view("<u4")
-        self._halves = np.concatenate((ahead, halves))
-        self._pos = 0
+def _swaps(source: WordSource, base, m, k, row) -> tuple[np.ndarray, np.ndarray]:
+    """Selection s, drawn from ``source`` row row[s], swaps k[s] times in its m[s] items from
+    base[s]; a row's selections are adjacent, in draw order, rows ascending. Returns each swap's
+    positions base + i and base + j_i, both ascending within a selection."""
+    base, m, k, row = (np.asarray(a, dtype=np.int64) for a in (base, m, k, row))
+    seg = np.repeat(np.arange(len(k)), k)
+    p = np.arange(len(seg)) - np.repeat(np.cumsum(k) - k, k)  # swap i
+    r = m[seg] - p
+    drawn = np.flatnonzero(r > 1)  # a range of 1 (i = m - 1) takes no draw
+    j = p.copy()
+    j[drawn] += source.draw(np.bincount(row[seg[drawn]], minlength=source.rows), r[drawn])
+    offset = base[seg]
+    p += offset
+    j += offset
+    return p, j
 
 
-def sample_without_replacement(source: WordSource, population: np.ndarray, k: int) -> np.ndarray:
-    """Uniform k-subset of population via partial Fisher-Yates.
-
-    Swap i exchanges positions i and j_i, with j_i uniform in [i, m); the
-    k indices come from ``source.swap_indices(m, k)``, the stream of one
-    ``integers(i, m)`` per selected element. Nothing is consumed when
-    k == 0, nor by the last swap of k == m, whose range is 1.
-    """
-    m = len(population)
-    if k < 0 or k > m:
-        raise ValueError(f"cannot draw {k} from population of {m}")
-    if k == 0:
-        return np.empty(0, dtype=population.dtype)
-    pool = population.tolist()
-    for i, j in enumerate(source.swap_indices(m, k)):
-        pool[i], pool[j] = pool[j], pool[i]
-    return np.array(pool[:k], dtype=population.dtype)
+def _select(source: WordSource, pop: np.ndarray, base, m, k, row) -> np.ndarray:
+    """Partial Fisher-Yates selections of k[s] from pop[base[s]:base[s] + m[s]], ranges that do
+    not overlap, drawn as in ``_swaps``: the chosen values, in draw order. Without a swap loop:
+    swap s chooses what stood at j_s just before it, the original value or the one that the
+    last earlier swap s' into j_s moved out of p_s', which is what stood there just before s',
+    by the same rule. Keys (j, s) sorted once find each link; pointer jumping ends the chains."""
+    p, j = _swaps(source, base, m, k, row)
+    size = np.int64(len(p))
+    steps = np.arange(size)
+    keys = np.sort(j * size + steps)
+    target, order = np.divmod(keys, size)
+    prev = np.full(size, -1)  # the last earlier swap into j_s: the key before (j_s, s), if on j_s
+    prev[order[1:]] = np.where(target[1:] == target[:-1], order[:-1], -1)
+    # the last earlier swap into p_s is the key below (p_s, s), if on p_s: a later one would have
+    # p_s' > p_s, and j_s' >= p_s'; below = -1 wraps to the largest key, on p_s only if it is s
+    below = np.searchsorted(keys, p * size + steps) - 1
+    link = np.where(target[below] == p, order[below], steps)
+    keys = target = order = below = None  # dropped before the jumps: they set a step's peak memory
+    jumped = link[link]
+    while not np.array_equal(jumped, link):
+        link, jumped = jumped, jumped[jumped]
+    held = pop[p[link]]  # what stood at p_s just before swap s
+    return np.where(prev >= 0, held[prev], pop[j])
 
 
 @dataclass(frozen=True)
@@ -179,62 +191,90 @@ def check_unit(u) -> None:
         raise ValueError(f"information unit must be positive and finite, got {u!r}")
 
 
-def init_state(cfg: SimConfig, n: int, source: WordSource) -> np.ndarray:
-    """Initial count vector: n_0 vertices chosen uniformly get one unit."""
-    cfg.validate(n)
-    counts = np.zeros(n, dtype=np.int64)
-    chosen = sample_without_replacement(source, np.arange(n), cfg.n_0)
-    counts[chosen] = 1
-    return counts
+def _step(counts: np.ndarray, tails: np.ndarray, heads: np.ndarray, g, d, source: WordSource) -> None:
+    """One step of every row b of the (rows, n) counts in place, at rates g[b], d[b], on row b
+    of ``source``. The arcs (tails, heads) join flat vertices b * n + v; rows * n pads."""
+    rows, n = counts.shape
+    flat, each = counts.ravel(), np.arange(rows)
+    informed = np.flatnonzero(flat)
+    n_inf = np.bincount(informed // n, minlength=rows)
+    # every row draws its senders from its informed vertices, then its receivers from its n
+    senders = _select(source, informed, np.cumsum(n_inf) - n_inf, n_inf, _round_counts(g * n_inf), each)
+    receivers = _select(source, np.arange(rows * n), each * n, np.full(rows, n), _round_counts(g * n), each)
+    marked = np.zeros((2, rows * n + 1), dtype=bool)
+    marked[0, senders] = marked[1, receivers] = True
+    hits = np.compress(np.take(marked[0], tails) & np.take(marked[1], heads), heads)
+    flat += np.bincount(hits, minlength=rows * n + 1)[:-1]
+    support = np.flatnonzero(flat)
+    n_sup = np.bincount(support // n, minlength=rows)
+    flat[_select(source, support, np.cumsum(n_sup) - n_sup, n_sup, _round_counts(d * n_sup), each)] = 0
 
 
-def sim_step(counts: np.ndarray, graph: Graph, cfg: SimConfig, source: WordSource) -> np.ndarray:
-    """One generation/disappearance step; returns the new counts."""
-    n = graph.n
-    if len(counts) != n:
-        raise ValueError(f"state dimension {len(counts)} != vertex count {n}")
-    counts = counts.copy()
-    informed = np.flatnonzero(counts)
-    n_inf = len(informed)
-
-    n_s = round_half_away(cfg.g * n_inf)
-    senders = sample_without_replacement(source, informed, n_s)
-    n_r = round_half_away(cfg.g * n)
-    receivers = sample_without_replacement(source, np.arange(n), n_r)
-
-    if n_s and n_r:
-        # one unit per adjacent (sender, receiver) pair, accumulated
-        is_sender, is_receiver = np.zeros((2, n), dtype=bool)
-        is_sender[senders] = is_receiver[receivers] = True
-        heads = graph.indices
-        counts += np.bincount(heads[is_sender[graph.tails] & is_receiver[heads]], minlength=n)
-
-    support = np.flatnonzero(counts)
-    n_d = round_half_away(cfg.d * len(support))
-    erased = sample_without_replacement(source, support, n_d)
-    counts[erased] = 0
-    return counts
+def run_trials(trials, rows: int, history: bool = False):
+    """Run (SimConfig, Graph) pairs of one n and t_max on ``rows`` rows stepping together, each
+    read when a row frees up. Trial i yields, as it ends, (i, sums, sqs, dots, counts): the int64
+    series Σc, Σc² of its states and Σc_t·c_{t+1} of its transitions, later states repeating the
+    one it stopped at, and its count history if it is trial 0 and ``history`` is set."""
+    pending = enumerate(trials)
+    nxt = next(pending, None)
+    if nxt is None:
+        return
+    n, t_max = nxt[1][1].n, nxt[1][0].t_max
+    counts, g, d = np.zeros((rows, n), dtype=np.int64), np.zeros(rows), np.zeros(rows)
+    trial, t = np.full(rows, -1), np.zeros(rows, dtype=np.int64)  # -1: a free row; steps taken
+    series = np.zeros((3, rows, t_max + 1), dtype=np.int64)  # sums, sqs, dots
+    arcs = np.zeros((2, rows, 0), dtype=np.int32)  # tails, heads; the padding rows * n never sends
+    source = WordSource(rows)
+    kept = np.empty((t_max + 1, n), dtype=np.int64) if history else None
+    while True:
+        entering = []  # free rows take the next trials, else every trial steps
+        for b in np.flatnonzero(trial < 0):
+            if nxt is None:
+                break
+            (i, (cfg, graph)), nxt = nxt, next(pending, None)
+            cfg.validate(graph.n)
+            if len(graph.tails) > arcs.shape[2]:
+                wider = ((0, 0), (0, 0), (0, len(graph.tails) - arcs.shape[2]))
+                arcs = np.pad(arcs, wider, constant_values=rows * n)
+            arcs[:, b] = rows * n
+            arcs[:, b, :len(graph.tails)] = graph.tails + b * n, graph.indices + b * n
+            trial[b], g[b], d[b], t[b] = i, cfg.g, cfg.d, 0
+            source.start(b, np.random.PCG64(cfg.seed))
+            entering.append((b, cfg.n_0))
+        if entering:
+            live, n_0 = np.array(entering).T
+            seeded = _select(source, np.arange(rows * n), live * n, np.full(len(live), n), n_0, live)
+            counts.ravel()[seeded] = 1
+        else:
+            live = np.flatnonzero(trial >= 0)
+            if not len(live):
+                return
+            before = counts[live]
+            _step(counts, arcs[0].ravel(), arcs[1].ravel(), g, d, source)
+            t[live] += 1
+            series[2, live, t[live] - 1] = (before * counts[live]).sum(axis=1)
+        c = counts[live]
+        series[0, live, t[live]], series[1, live, t[live]] = c.sum(axis=1), (c * c).sum(axis=1)
+        if kept is not None and (trial[live] == 0).any():
+            kept[t[trial == 0][0]] = counts[trial == 0][0]
+        n_inf = (c > 0).sum(axis=1)
+        still = (_round_counts(g[live] * n_inf) == 0) & (_round_counts(d[live] * n_inf) == 0)
+        for b in live[still | (t[live] == t_max)]:
+            tb = t[b]
+            series[:2, b, tb + 1:] = series[:2, b, tb, None]
+            series[2, b, tb:] = series[1, b, tb]
+            if kept is not None and trial[b] == 0:
+                kept[tb + 1:] = counts[b]
+            yield (int(trial[b]), series[0, b].copy(), series[1, b].copy(), series[2, b, :t_max].copy(),
+                   kept if trial[b] == 0 else None)
+            trial[b], g[b], d[b] = -1, 0.0, 0.0
+            counts[b] = 0
 
 
 def run_sim(cfg: SimConfig, graph: Graph) -> np.ndarray:
-    """Full run: seed the state, then t_max steps. Pure in (cfg, graph).
-
-    Returns the (t_max+1, n) int64 count history; row t holds the counts
-    after step t. Stepping stops once a step can no longer change the
-    state (see the module docstring); the later rows repeat it.
-    """
-    source = WordSource(cfg.seed)
-    counts = init_state(cfg, graph.n, source)
-    history = np.empty((cfg.t_max + 1, graph.n), dtype=np.int64)
-    history[0] = counts
-    for t in range(1, cfg.t_max + 1):
-        n_inf = np.count_nonzero(counts)
-        if round_half_away(cfg.g * n_inf) == 0 and round_half_away(cfg.d * n_inf) == 0:
-            history[t:] = counts  # no sender and nothing to erase, now and at every later step
-            break
-        counts = sim_step(counts, graph, cfg, source)
-        history[t] = counts
-    return history
+    """The (t_max+1, n) int64 count history of one trial, a pool of one; row t holds the
+    counts after step t, and the rows after a stop repeat the state it stopped at."""
+    return next(run_trials([(cfg, graph)], 1, history=True))[4]
 
 
 def _unit_values(counts: np.ndarray, u: float) -> dict[int, float]:

@@ -14,11 +14,13 @@ Per-trial seeds derive from numpy's SeedSequence with entropy
 (base_seed, point_index, trial_index); the first generated word seeds
 the network, the second the simulation. With ``fresh_network=False``
 one network, generated once from the base seed, replaces the per-trial
-networks of every point. ``run_point`` is the one trial loop;
-``simulate`` runs it at point index 0, with its ``--graph`` as the
-fixed network. Any grid subset is therefore
-recomputable in isolation, and parallel execution cannot change results
-because every point is aggregated independently in trial order.
+networks of every point. ``_run_trials`` runs a contiguous range of
+the (point, trial) order through the simulation's pool, generating each
+network as a row frees up; ``run_sweep`` hands it the whole order or a
+few ranges per worker, and ``run_point`` one point, as ``simulate`` does
+at point index 0 with its ``--graph`` as the fixed network. Trial
+measures are averaged per point in trial order, so any grid subset is
+recomputable in isolation, whatever the pool size or worker count.
 
 Grid CSV header::
 
@@ -37,8 +39,8 @@ import numpy as np
 
 from .generators import BaParams, WsParams, check_seed, generate_network
 from .graph import Graph
-from .measures import MeasureSet, average_measures, series_measures
-from .simulation import SimConfig, check_unit, run_sim
+from .measures import MeasureSet, _mean_var, _measure_set, _transitions, average_measures
+from .simulation import SimConfig, check_unit, pool_rows, run_trials
 
 PHASES = ("Nihilism", "Atomism", "Mixism", "Mobism")
 
@@ -154,30 +156,35 @@ def trial_seeds(base_seed: int, point_index: int, trial_index: int) -> tuple[int
     return int(words[0]), int(words[1])
 
 
+def _run_trials(cfg: SweepConfig, mesh: Sequence[tuple[float, float]], graph: Graph | None, start: int,
+                stop: int, offset: int = 0, history: bool = False) -> tuple[list[MeasureSet], np.ndarray | None]:
+    """Measures of trials start..stop-1 of the (point, trial) order, on ``graph`` or on
+    networks from their own seeds, where point p of ``mesh`` has index offset + p; with
+    ``history`` also the count history of the first trial."""
+    def trials():
+        for i in range(start, stop):
+            p, trial = divmod(i, cfg.trials)
+            net_seed, sim_seed = trial_seeds(cfg.base_seed, offset + p, trial)
+            net = graph if graph is not None else generate_network(cfg.network, net_seed)
+            yield SimConfig(g=mesh[p][0], d=mesh[p][1], t_max=cfg.t_max, n_0=cfg.n_0, seed=sim_seed), net
+
+    n = graph.n if graph is not None else cfg.network.n
+    ended = {i: (_measure_set(_transitions(sums, sqs, dots, n), _mean_var), counts) for i, sums, sqs, dots, counts
+             in run_trials(trials(), min(stop - start, pool_rows(n, cfg.t_max)), history)}
+    return [ended[i][0] for i in range(stop - start)], ended[0][1] if ended else None
+
+
 def run_point(
-    cfg: SweepConfig, g: float, d: float, point_index: int, graph: Graph | None = None
-) -> tuple[MeasureSet, np.ndarray]:
-    """Trial-averaged measures of one mesh point, and the first trial's count history.
+    cfg: SweepConfig, g: float, d: float, point_index: int, graph: Graph | None = None, history: bool = False
+) -> tuple[MeasureSet, np.ndarray | None]:
+    """Trial-averaged measures of one mesh point and, with ``history``, the
+    first trial's count history (else None).
 
     Every trial runs on ``graph`` when it is given, and otherwise on a
     network generated from the trial's own seed.
     """
-    per_trial = []
-    first_counts = None
-    for trial in range(cfg.trials):
-        net_seed, sim_seed = trial_seeds(cfg.base_seed, point_index, trial)
-        net = graph if graph is not None else generate_network(cfg.network, net_seed)
-        counts = run_sim(SimConfig(g=g, d=d, t_max=cfg.t_max, n_0=cfg.n_0, seed=sim_seed), net)
-        if first_counts is None:
-            first_counts = counts
-        per_trial.append(series_measures(counts))
-    return average_measures(per_trial), first_counts
-
-
-def _point_task(args: tuple[SweepConfig, tuple[float, float], int, Graph | None]) -> MeasureSet:
-    cfg, (g, d), point_index, graph = args
-    # the history is dropped here, so a sweep holds no per-point histories
-    return run_point(cfg, g, d, point_index, graph)[0]
+    per_trial, first = _run_trials(cfg, [(g, d)], graph, 0, cfg.trials, point_index, history)
+    return average_measures(per_trial), first
 
 
 def normalize_by_max(values: np.ndarray) -> np.ndarray:
@@ -212,12 +219,18 @@ def run_sweep(
     if not mesh:
         raise ValueError("mesh is empty")
     graph = None if cfg.fresh_network else generate_network(cfg.network, cfg.base_seed)
-    tasks = [(cfg, point, idx, graph) for idx, point in enumerate(mesh)]
+    # contiguous ranges of the (point, trial) order, four per worker: trials at high g cost
+    # more, and the mesh sorts them last
+    total, ranges = len(mesh) * cfg.trials, 4 * workers if workers > 1 else 1
+    cuts = [total * c // ranges for c in range(ranges + 1)]
+    tasks = ([cfg] * ranges, [mesh] * ranges, [graph] * ranges, cuts[:-1], cuts[1:])
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_point_task, tasks, chunksize=1))
+            parts = list(pool.map(_run_trials, *tasks))
     else:
-        results = [_point_task(t) for t in tasks]
+        parts = list(map(_run_trials, *tasks))
+    per_trial = [ms for part, _ in parts for ms in part]
+    results = [average_measures(per_trial[p * cfg.trials:(p + 1) * cfg.trials]) for p in range(len(mesh))]
     norm_atom = normalize_by_max([ms.m_atom for ms in results])
     norm_mix = normalize_by_max([ms.m_mix for ms in results])
     norm_mob = normalize_by_max([ms.m_mob for ms in results])

@@ -8,9 +8,10 @@ element, deliver through a dense adjacency matrix, rewire through
 ``Generator.random()`` and ``Generator.integers()`` on neighbor sets,
 take float cumulative sums per draw and format every cell of a float
 copy of the trace. Both must consume the same PCG64 stream in the same order and give
-exactly equal results. ``RewindableSource`` runs the library's
+exactly equal results. ``RewindableSource`` runs one row of the library's
 ``WordSource`` on a caller's bit generator and can hand the stream back,
-so tests can compare generator states with these oracles.
+so tests can compare generator states with these oracles; ``engine_sample``,
+``engine_init`` and ``engine_step`` run one row of the library's pool.
 
 The event-log oracles keep events as ``(time, src, dst)`` tuples, count
 snapshots in dicts and run one Python BFS per source. The graph oracles
@@ -34,7 +35,13 @@ import numpy as np
 
 from mixbiotic.datasets import DatasetMeta, FormatConfig
 from mixbiotic.graph import Graph, GraphStats
-from mixbiotic.simulation import WordSource, round_half_away
+import mixbiotic.simulation as simulation
+from mixbiotic.simulation import WordSource, _swaps
+
+
+def round_half_away(x):
+    """Round to nearest integer, halves away from zero."""
+    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
 def sample_without_replacement(rng, population, k):
@@ -52,7 +59,7 @@ def sample_without_replacement(rng, population, k):
 
 
 class RewindableSource(WordSource):
-    """A ``WordSource`` over a caller's bit generator, which it can hand back.
+    """A one-row ``WordSource`` over a caller's bit generator, which it can hand back.
 
     It starts from the generator's buffered half, if it has one, and
     ``write_back`` leaves the generator where ``Generator.integers`` would
@@ -62,13 +69,18 @@ class RewindableSource(WordSource):
     """
 
     def __init__(self, bit_generator):
+        super().__init__(1)
+        self.start(0, bit_generator)
+        self.bit_generator = bit_generator
         state = bit_generator.state
-        self._pcg = self.bit_generator = bit_generator
-        # _halves[_pos:] are read but not drawn yet; _halves always ends with whole words
-        self._halves = np.array([state["uinteger"]] if state["has_uint32"] else [], dtype=np.uint32)
-        self._pos = 0
-        self._stale = state["uinteger"]  # PCG64's uinteger when no half of _halves is drawn
-        self._grow(0)
+        if state["has_uint32"]:
+            self._halves[0, 0] = state["uinteger"]
+            self._end[0] = 1
+        self._stale = state["uinteger"]  # PCG64's uinteger when no half read is drawn
+
+    def swap_indices(self, m, k):
+        """The k swap indices j_i of one selection of k from m, as ``_select`` draws them."""
+        return _swaps(self, [0], [m], [k], [0])[1].tolist()
 
     def write_back(self):
         """Leave the bit generator where ``Generator.integers`` would have left it.
@@ -78,23 +90,53 @@ class RewindableSource(WordSource):
         is drawn. The source stays usable.
         """
         has_half, uinteger = self._buffer()
-        self.bit_generator.advance(-((len(self._halves) - self._pos) // 2))
+        pos, end = int(self._pos[0]), int(self._end[0])
+        self.bit_generator.advance(-((end - pos) // 2))
         state = self.bit_generator.state
         state.update(has_uint32=has_half, uinteger=uinteger)
         self.bit_generator.state = state
-        self._halves = self._halves[self._pos:self._pos + has_half]
-        self._pos = 0
+        self._halves[0, :has_half] = self._halves[0, pos:pos + has_half]
+        self._pos[0], self._end[0] = 0, has_half
         self._stale = uinteger
 
     def _buffer(self):
         """PCG64's (has_uint32, uinteger) at the read position."""
-        if (len(self._halves) - self._pos) % 2:
-            return 1, int(self._halves[self._pos])
-        return 0, int(self._halves[self._pos - 1]) if self._pos else self._stale
+        pos, end = self._pos[0], self._end[0]
+        if (end - pos) % 2:
+            return 1, int(self._halves[0, pos])
+        return 0, int(self._halves[0, pos - 1]) if pos else self._stale
 
-    def _read(self, c):
-        self._stale = self._buffer()[1]
-        super()._read(c)
+
+def words(seed):
+    """A one-row ``WordSource`` on ``PCG64(seed)``."""
+    source = WordSource(1)
+    source.start(0, np.random.PCG64(seed))
+    return source
+
+
+def engine_sample(source, population, k):
+    """One selection of the library's pool, on row 0 of ``source``."""
+    m = len(population)
+    if k < 0 or k > m:
+        raise ValueError(f"cannot draw {k} from population of {m}")
+    return simulation._select(source, population, [0], [m], [k], [0])
+
+
+def engine_init(cfg, n, source):
+    """The initial counts of one trial, chosen by the pool's selection on row 0 of ``source``."""
+    cfg.validate(n)
+    counts = np.zeros(n, dtype=np.int64)
+    counts[engine_sample(source, np.arange(n), cfg.n_0)] = 1
+    return counts
+
+
+def engine_step(counts, graph, cfg, source):
+    """One step of the library's pool for one trial on row 0 of ``source``; returns new counts."""
+    if len(counts) != graph.n:
+        raise ValueError(f"state dimension {len(counts)} != vertex count {graph.n}")
+    counts = np.array(counts, dtype=np.int64)[None]
+    simulation._step(counts, graph.tails, graph.indices, np.array([cfg.g]), np.array([cfg.d]), source)
+    return counts[0]
 
 
 def adjacency_matrix(graph):

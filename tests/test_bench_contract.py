@@ -34,7 +34,11 @@ def test_every_wrapped_name_resolves(monkeypatch):
         "mixbiotic.cli.run_sim",
         "mixbiotic.cli.series_measures",
         "mixbiotic.cli.average_measures",
+        "mixbiotic.sweep.run_sim",
+        "mixbiotic.sweep.series_measures",
+        "mixbiotic.simulation.sample_without_replacement",
         "mixbiotic.graph.Graph.adjacency_matrix",
     ]
     # so no per-layer metric reads 0 for want of a name, except the adjacency one
-    assert {key for *_, key, _counters in tracing.WRAPPED} - resolved_keys == {"graph.adjacency"}
+    assert {key for *_, key, _counters in tracing.WRAPPED} - resolved_keys == {
+        "graph.adjacency", "simulation.run", "measures.series", "simulation.select"}

@@ -258,7 +258,8 @@ class TestRejectedBeforeAnyWork:
         def work(*args, **kwargs):
             raise AssertionError("the command started work")
 
-        for module, name in [(cli, "generate_network"), (cli, "run_point"), (sweep_module, "run_point")]:
+        for module, name in [(cli, "generate_network"), (cli, "run_point"), (sweep_module, "run_point"),
+                             (sweep_module, "_run_trials")]:
             monkeypatch.setattr(module, name, work)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 99999999999999999999999])

@@ -2,26 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mixbiotic.simulation as simulation
 import reference_impl as reference
 from mixbiotic.graph import Graph
 from mixbiotic.generators import BaParams, WsParams, generate_network, generate_ws
+from mixbiotic.sweep import MeshSpec, build_mesh
 from mixbiotic.simulation import (
     SimConfig,
     WordSource,
-    init_state,
+    _round_counts,
+    _swaps,
     load_trace,
-    round_half_away,
+    pool_rows,
     run_sim,
-    sample_without_replacement,
+    run_trials,
     save_trace_csv,
     save_trace_sparse_json,
-    sim_step,
 )
+from reference_impl import round_half_away, words
+from reference_impl import engine_init as init_state
+from reference_impl import engine_sample as sample_without_replacement
+from reference_impl import engine_step as sim_step
 
 
 PATH3 = Graph(3, [(0, 1), (1, 2)])
+RATES = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8, 1.0])
 
 
 def rng_of(seed=0):
@@ -61,12 +68,18 @@ class TestRounding:
     def test_half_away_from_zero(self, x, expected):
         assert round_half_away(x) == expected
 
+    def test_vectorised_round_on_every_mesh_rate_and_count(self):
+        counts = np.arange(3001)
+        for rate in sorted({r for point in build_mesh(MeshSpec()) for r in point}):
+            want = [round_half_away(rate * c) for c in counts.tolist()]
+            assert _round_counts(rate * counts).tolist() == want, rate
+
 
 class TestSampling:
     def test_uniform_subsets(self):
         pop = np.arange(5)
         seen = set()
-        source = WordSource(1)
+        source = words(1)
         for _ in range(2000):
             seen.add(tuple(sorted(sample_without_replacement(source, pop, 2))))
         assert len(seen) == 10  # every 2-subset occurs
@@ -80,7 +93,7 @@ class TestSampling:
 
     def test_overdraw_rejected(self):
         with pytest.raises(ValueError):
-            sample_without_replacement(WordSource(0), np.arange(3), 4)
+            sample_without_replacement(words(0), np.arange(3), 4)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 1000, 2**32 - 1, 2**32, 2**32 + 1, 2**33])
     def test_broadcast_draw_is_the_scalar_stream(self, m):
@@ -105,6 +118,26 @@ class TestSampling:
                 assert got.tolist() == want.tolist()
                 source.write_back()
                 assert a.bit_generator.state == b.bit_generator.state
+
+    def test_rows_of_selections_match_scalar_reference(self):
+        # one loop-free call resolves every row's selections; each row reads its own stream
+        pick = rng_of(11)
+        for case in range(400):
+            rows = int(pick.integers(1, 7))
+            source, oracles, specs = WordSource(rows), [], []
+            for b in range(rows):
+                source.start(b, np.random.PCG64(case * 8 + b))
+                oracles.append(rng_of(case * 8 + b))
+                for _ in range(int(pick.integers(0, 3))):  # a row's selections are adjacent
+                    m = int(pick.integers(0, 301))
+                    specs.append((b, m, int(pick.integers(0, m + 1))))
+            pop = pick.permutation(10 * 301 * len(specs) + 1)[:301 * len(specs)]
+            base = [301 * s for s in range(len(specs))]
+            got = simulation._select(source, pop, base, [m for _, m, _ in specs], [k for *_, k in specs],
+                                     [b for b, *_ in specs])
+            want = [reference.sample_without_replacement(oracles[b], pop[start:start + m], k)
+                    for start, (b, m, k) in zip(base, specs)]
+            assert got.tolist() == np.concatenate([pop[:0], *want]).tolist(), case
 
 
 class TestWordSource:
@@ -169,54 +202,136 @@ class TestWordSource:
         assert stub.state == {"has_uint32": 1, "uinteger": 0x12345678}
 
 
+    def test_forced_rejection_in_one_row_of_three(self):
+        # ranges 3 and 5 reject a zero half (2**32 % r == 1); even ranges reject nothing
+        source = WordSource(3)
+        # row 0: its first selection (k = 1 of 3) rejects its only and last draw, redraws from
+        # 2**31 (3 * 2**31 >> 32 = 1), its second (1 of 2) takes 0xC0000000 (2 * 0xC0000000 >> 32 = 1),
+        # and the high half 2**30 is left over for its next call (5 * 2**30 >> 32 = 1); a third word
+        # read in its place would give 5 * 0x33333333 >> 32 = 0
+        source.start(0, StubWords([0x80000000_00000000, 0x40000000_C0000000, 0x33333333_33333333]))
+        # row 1: 2 of 3 from 2**31 twice (1, then 1 + 1), then 1 of 2 from a zero half, kept (0)
+        source.start(1, StubWords([0x80000000_80000000, 0]))
+        # row 2: 3 of 3, whose last swap draws nothing: 3 * 0xFFFFFFFF >> 32 = 2, then 1 + (2 >> 32)
+        source.start(2, StubWords([0x00000001_FFFFFFFF, 0x55555555_55555555]))
+
+        # the targets base + j_i of selections from positions 0, 3, 5 and 8, then from 0 and 5
+        assert _swaps(source, [0, 3, 5, 8], [3, 2, 3, 3], [1, 1, 2, 3], [0, 0, 1, 2])[1].tolist() == [
+            0 + 1, 3 + 1, 5 + 1, 5 + 2, 8 + 2, 8 + 1, 8 + 2]
+        assert _swaps(source, [0, 5], [5, 2], [1, 1], [0, 1])[1].tolist() == [0 + 1, 5 + 0]
+
+    def test_rejection_above_another_rows_range(self):
+        # r = 2**31 + 1 rejects a low product below 2**32 % r = 2**31 - 1: the half 2 gives low 2,
+        # no smaller than row 1's range 2, which keeps its own low 2 (2**32 % 2 = 0)
+        source = WordSource(2)
+        source.start(0, StubWords([0x80000000_00000002]))  # then 2**31 * r >> 32 = 2**30
+        source.start(1, StubWords([0x00000000_00000001]))  # 1 * 2 >> 32 = 0
+        m = 2**31 + 1
+        assert _swaps(source, [0, m], [m, 2], [1, 1], [0, 1])[1].tolist() == [2**30, m + 0]
+
+
+class TestPool:
+    """The pool against the scalar oracle loop, trial by trial."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        t_max=st.integers(1, 40),
+        rates=st.lists(st.tuples(RATES, RATES), min_size=1, max_size=7),
+        rows=st.integers(1, 7),
+        density=st.sampled_from([0.0, 0.15, 0.5]),
+        fresh=st.booleans(),
+        data=st.data(),
+    )
+    def test_trials_match_the_scalar_oracle(self, n, t_max, rates, rows, density, fresh, data):
+        # rows below the trial count make trials enter rows that others left
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        pick = np.random.default_rng(seed)
+
+        def network():  # sparse ones leave vertices isolated
+            return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if pick.random() < density])
+
+        fixed = network()
+        graphs = [network() if fresh else fixed for _ in rates]
+        configs = [SimConfig(g=g, d=d, t_max=t_max, n_0=data.draw(st.integers(0, n), label="n_0"),
+                             seed=seed + i) for i, (g, d) in enumerate(rates)]
+        ended = {i: rest for i, *rest in run_trials(zip(configs, graphs), rows, history=True)}
+        assert sorted(ended) == list(range(len(rates)))
+        for i, (cfg, graph) in enumerate(zip(configs, graphs)):
+            rng = rng_of(cfg.seed)
+            counts = reference.init_state(cfg, n, rng)
+            history = [counts]
+            for _ in range(t_max):
+                counts = reference.sim_step(counts, graph, cfg, rng)
+                history.append(counts)
+            history = np.array(history)
+            sums, sqs, dots, kept = ended[i]
+            assert sums.tolist() == history.sum(axis=1).tolist(), i
+            assert sqs.tolist() == (history * history).sum(axis=1).tolist(), i
+            assert dots.tolist() == (history[1:] * history[:-1]).sum(axis=1).tolist(), i
+            if i == 0:
+                assert np.array_equal(kept, history)
+            else:
+                assert kept is None
+
+    @pytest.mark.parametrize("n", [1, 20, 3000, 2**28])
+    def test_one_row_at_the_history_cap(self, n):
+        # the largest t_max that SweepConfig.validate lets through: (t_max + 1) * n <= 2**28
+        assert pool_rows(n, 2**28 // n - 1) == 1
+
+    def test_simulate_n3000_trials_share_one_pool(self):
+        # the benchmark's simulate: n = 3000, --tmax 100, --trials 5
+        assert pool_rows(3000, 100) >= 5
+
+
 class TestInitState:
     def test_exact_seed_count(self):
         cfg = SimConfig(g=0.4, d=0.3, n_0=10)
-        counts = init_state(cfg, 100, WordSource(4))
+        counts = init_state(cfg, 100, words(4))
         assert int((counts == 1).sum()) == 10
         assert int((counts == 0).sum()) == 90
 
     def test_all_vertices_seeded(self):
         cfg = SimConfig(g=0, d=0, n_0=5)
-        counts = init_state(cfg, 5, WordSource(4))
+        counts = init_state(cfg, 5, words(4))
         assert (counts == 1).all()
 
     def test_empty_seed(self):
         cfg = SimConfig(g=0, d=0, n_0=0)
-        assert (init_state(cfg, 5, WordSource(4)) == 0).all()
+        assert (init_state(cfg, 5, words(4)) == 0).all()
 
     def test_overfull_seed_rejected(self):
         with pytest.raises(ValueError):
-            init_state(SimConfig(g=0, d=0, n_0=6), 5, WordSource(4))
+            init_state(SimConfig(g=0, d=0, n_0=6), 5, words(4))
 
 
 class TestSimStep:
     def test_hand_trace_send_only(self):
         # g=1 selects every informed vertex and every receiver deterministically
         cfg = SimConfig(g=1.0, d=0.0)
-        counts = sim_step(np.array([1, 0, 0]), PATH3, cfg, WordSource(0))
+        counts = sim_step(np.array([1, 0, 0]), PATH3, cfg, words(0))
         assert counts.tolist() == [1, 1, 0]
 
     def test_hand_trace_send_then_full_erase(self):
         cfg = SimConfig(g=1.0, d=1.0)
-        counts = sim_step(np.array([1, 0, 0]), PATH3, cfg, WordSource(0))
+        counts = sim_step(np.array([1, 0, 0]), PATH3, cfg, words(0))
         assert counts.tolist() == [0, 0, 0]
 
     def test_hand_trace_no_generation(self):
         cfg = SimConfig(g=0.0, d=1.0)
-        counts = sim_step(np.array([1, 1, 0]), PATH3, cfg, WordSource(0))
+        counts = sim_step(np.array([1, 1, 0]), PATH3, cfg, words(0))
         assert counts.tolist() == [0, 0, 0]
 
     def test_accumulates_across_senders(self):
         # both ends of a path send to the middle: it gains two units
         star = Graph(3, [(0, 1), (2, 1)])
         cfg = SimConfig(g=1.0, d=0.0)
-        counts = sim_step(np.array([1, 0, 1]), star, cfg, WordSource(0))
+        counts = sim_step(np.array([1, 0, 1]), star, cfg, words(0))
         assert counts.tolist() == [1, 2, 1]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            sim_step(np.zeros(4, dtype=np.int64), PATH3, SimConfig(g=0, d=0), WordSource(0))
+            sim_step(np.zeros(4, dtype=np.int64), PATH3, SimConfig(g=0, d=0), words(0))
 
 
 class TestDenseReference:
@@ -317,14 +432,15 @@ class TestInvariants:
 
     def test_randomized_steps(self, monkeypatch):
         picks = []  # (population, k, chosen) of each selection of one step, in draw order
+        select = simulation._select
 
-        def recorded(source, population, k):
-            chosen = sample_without_replacement(source, population, k)
-            picks.append((population, k, chosen))
+        def recorded(source, pop, base, m, k, row):  # one row: one selection a call
+            chosen = select(source, pop, base, m, k, row)
+            picks.append((pop[base[0]:base[0] + m[0]], k[0], chosen))
             return chosen
 
-        monkeypatch.setattr(simulation, "sample_without_replacement", recorded)
-        source = WordSource(2024)
+        monkeypatch.setattr(simulation, "_select", recorded)
+        source = words(2024)
         param_rng = np.random.default_rng(512)
         checked = 0
         while checked < 10_000:

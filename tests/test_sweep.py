@@ -16,6 +16,7 @@ from mixbiotic.sweep import (
     _label,
     build_mesh,
     normalize_by_max,
+    run_point,
     run_sweep,
     save_grid_csv,
     save_grid_metadata,
@@ -109,6 +110,16 @@ class TestRunSweep:
         parallel = run_sweep(cfg, mesh, workers=2)
         assert [p.measures for p in serial.points] == [p.measures for p in parallel.points]
         assert [p.phase for p in serial.points] == [p.phase for p in parallel.points]
+
+    def test_run_point_keeps_the_first_history_only_when_asked(self):
+        # trial 0's history is what run_sim gives on that trial's own network and seed
+        plain, no_history = run_point(SMALL_CFG, 0.5, 0.2, 3)
+        measures, history = run_point(SMALL_CFG, 0.5, 0.2, 3, history=True)
+        assert no_history is None
+        assert plain == measures
+        net_seed, sim_seed = trial_seeds(SMALL_CFG.base_seed, 3, 0)
+        cfg = SimConfig(g=0.5, d=0.2, t_max=SMALL_CFG.t_max, n_0=SMALL_CFG.n_0, seed=sim_seed)
+        assert np.array_equal(history, run_sim(cfg, generate_ws(SMALL_CFG.network, net_seed)))
 
     def test_fixed_network_is_generated_once(self, monkeypatch):
         calls = []
