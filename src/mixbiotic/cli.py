@@ -24,7 +24,7 @@ from .datasets import FormatConfig, aggregate_graph, dataset_measures, parse_eve
 from .generators import BaParams, WsParams, check_seed, generate_network
 from .graph import graph_stats, load_graph, save_graph
 from .measures import load_measures, save_measures, trajectory
-from .simulation import load_trace, save_trace_csv, save_trace_sparse_json
+from .simulation import SimConfig, load_trace, save_trace_csv, save_trace_sparse_json
 from .sweep import (
     MeshSpec,
     SweepConfig,
@@ -33,6 +33,7 @@ from .sweep import (
     run_sweep,
     save_grid_csv,
     save_grid_metadata,
+    worker_count,
 )
 from .svg import RADAR_AXES, render_phase_svg, render_radar_svg, render_trajectory_svg
 
@@ -125,13 +126,13 @@ def cmd_simulate(args) -> int:
         t_max=args.tmax, n_0=args.n0, base_seed=args.seed,
     )
     cfg.validate(graph)
-    cfg_items = {
+    SimConfig(g=args.g, d=args.d, t_max=args.tmax, n_0=args.n0).validate(graph.n if graph else args.n)
+    _echo_config("simulate", {
         "g": args.g, "d": args.d, "u": args.u, "t_max": args.tmax,
         "n_0": args.n0, "seed": args.seed, "trials": args.trials,
         "graph": args.graph, "model": args.model if not args.graph else None,
-    }
-    _echo_config("simulate", cfg_items)
-    measures, first_counts = run_point(cfg, args.g, args.d, 0, graph, history=bool(args.out))
+    })
+    measures, first_counts = run_point(cfg, args.g, args.d, graph, history=bool(args.out))
     if args.out:
         if str(args.out).endswith(".json"):
             save_trace_sparse_json(first_counts, args.out, args.u)
@@ -170,6 +171,7 @@ def cmd_sweep(args) -> int:
     )
     cfg.validate()
     mesh = _mesh_from_flag(args.mesh)
+    worker_count(mesh, args.workers)  # before the echo
     _echo_config("sweep", {
         "model": args.model, "network": vars(network).copy(), "trials": args.trials,
         "u": args.u, "t_max": args.tmax, "n_0": args.n0, "seed": args.seed,

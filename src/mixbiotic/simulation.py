@@ -29,9 +29,10 @@ it is drawn again from the next half when the low 32 bits of h * r fall
 below (2**32 - r) mod r. A range of 1 (i = m - 1) returns i and consumes
 no half, and empty selections consume nothing.
 
-``run_trials`` runs trials in a pool of ``pool_rows`` rows that step
-together, a trial leaving its row when it ends. Each row reads its own
-stream ahead (a trial's stream is discarded when it ends) and keeps only
+``run_trials`` runs trials in a pool of ``pool_rows`` rows. Each pass steps
+every running trial, gives each free row the next trial, read only then,
+seeds it, and frees the rows of the trials that ended. Each row reads its
+own stream ahead (a trial's stream is discarded when it ends) and keeps only
 the series the measures need, so no result depends on the pool's size.
 
 A trial stops stepping once Round[g * n_inf] and Round[d * n_inf] are
@@ -182,6 +183,8 @@ class SimConfig:
             raise ValueError(f"initial informed count must be >= 0, got {self.n_0}")
         if self.n_0 > n:
             raise ValueError(f"cannot seed {self.n_0} informed vertices on {n}")
+        if (self.t_max + 1) * (n + 3) > 2**28:  # a pool row: the count history and three series, 2 GiB
+            raise ValueError(f"--tmax {self.t_max} is too large: (t_max + 1) * (n + 3) passes 2**28 values")
 
 
 def check_unit(u) -> None:
@@ -210,53 +213,44 @@ def _step(counts: np.ndarray, tails: np.ndarray, heads: np.ndarray, g, d, source
     flat[_select(source, support, np.cumsum(n_sup) - n_sup, n_sup, _round_counts(d * n_sup), each)] = 0
 
 
-def run_trials(trials, rows: int, history: bool = False):
-    """Run (SimConfig, Graph) pairs of one n and t_max on ``rows`` rows stepping together, each
-    read when a row frees up. Trial i yields, as it ends, (i, sums, sqs, dots, counts): the int64
-    series Σc, Σc² of its states and Σc_t·c_{t+1} of its transitions, later states repeating the
-    one it stopped at, and its count history if it is trial 0 and ``history`` is set."""
+def run_trials(trials, n: int, t_max: int, rows: int, history: bool):
+    """Run (SimConfig, Graph) pairs of n vertices and t_max steps on ``rows`` rows stepping together,
+    each read only when a row is free. Trial i yields, as it ends, (i, sums, sqs, dots, counts): the
+    int64 series Σc, Σc² of its states and Σc_t·c_{t+1} of its transitions, later states repeating
+    the one it stopped at, and its count history if it is trial 0 and ``history`` is set."""
     pending = enumerate(trials)
-    nxt = next(pending, None)
-    if nxt is None:
-        return
-    n, t_max = nxt[1][1].n, nxt[1][0].t_max
     counts, g, d = np.zeros((rows, n), dtype=np.int64), np.zeros(rows), np.zeros(rows)
-    trial, t = np.full(rows, -1), np.zeros(rows, dtype=np.int64)  # -1: a free row; steps taken
+    trial, (t, n_0) = np.full(rows, -1), np.zeros((2, rows), dtype=np.int64)  # -1: a free row; steps, seeds
     series = np.zeros((3, rows, t_max + 1), dtype=np.int64)  # sums, sqs, dots
     arcs = np.zeros((2, rows, 0), dtype=np.int32)  # tails, heads; the padding rows * n never sends
     source = WordSource(rows)
     kept = np.empty((t_max + 1, n), dtype=np.int64) if history else None
     while True:
-        entering = []  # free rows take the next trials, else every trial steps
-        for b in np.flatnonzero(trial < 0):
-            if nxt is None:
-                break
-            (i, (cfg, graph)), nxt = nxt, next(pending, None)
+        live = np.flatnonzero(trial >= 0)  # 1. every running trial steps; a free row draws nothing
+        before = counts[live]
+        _step(counts, arcs[0].ravel(), arcs[1].ravel(), g, d, source)
+        t[live] += 1
+        series[2, live, t[live] - 1] = (before * counts[live]).sum(axis=1)
+        free = np.flatnonzero(trial < 0)  # 2. free rows take the next trials; zip reads none past the rows
+        for b, (i, (cfg, graph)) in zip(free, pending):
             cfg.validate(graph.n)
             if len(graph.tails) > arcs.shape[2]:
                 wider = ((0, 0), (0, 0), (0, len(graph.tails) - arcs.shape[2]))
                 arcs = np.pad(arcs, wider, constant_values=rows * n)
             arcs[:, b] = rows * n
             arcs[:, b, :len(graph.tails)] = graph.tails + b * n, graph.indices + b * n
-            trial[b], g[b], d[b], t[b] = i, cfg.g, cfg.d, 0
+            trial[b], g[b], d[b], n_0[b], t[b] = i, cfg.g, cfg.d, cfg.n_0, 0
             source.start(b, np.random.PCG64(cfg.seed))
-            entering.append((b, cfg.n_0))
-        if entering:
-            live, n_0 = np.array(entering).T
-            seeded = _select(source, np.arange(rows * n), live * n, np.full(len(live), n), n_0, live)
-            counts.ravel()[seeded] = 1
-        else:
-            live = np.flatnonzero(trial >= 0)
-            if not len(live):
-                return
-            before = counts[live]
-            _step(counts, arcs[0].ravel(), arcs[1].ravel(), g, d, source)
-            t[live] += 1
-            series[2, live, t[live] - 1] = (before * counts[live]).sum(axis=1)
+        new = free[trial[free] >= 0]  # 3. the rows that took a trial draw its seeds
+        if len(new):
+            counts.ravel()[_select(source, np.arange(rows * n), new * n, np.full(len(new), n), n_0[new], new)] = 1
+        live = np.flatnonzero(trial >= 0)  # 4. every row records its series, and ended trials leave
+        if not len(live):
+            return
         c = counts[live]
         series[0, live, t[live]], series[1, live, t[live]] = c.sum(axis=1), (c * c).sum(axis=1)
-        if kept is not None and (trial[live] == 0).any():
-            kept[t[trial == 0][0]] = counts[trial == 0][0]
+        if kept is not None and trial[0] == 0:  # trial 0 always enters row 0
+            kept[t[0]] = counts[0]
         n_inf = (c > 0).sum(axis=1)
         still = (_round_counts(g[live] * n_inf) == 0) & (_round_counts(d[live] * n_inf) == 0)
         for b in live[still | (t[live] == t_max)]:
@@ -274,7 +268,7 @@ def run_trials(trials, rows: int, history: bool = False):
 def run_sim(cfg: SimConfig, graph: Graph) -> np.ndarray:
     """The (t_max+1, n) int64 count history of one trial, a pool of one; row t holds the
     counts after step t, and the rows after a stop repeat the state it stopped at."""
-    return next(run_trials([(cfg, graph)], 1, history=True))[4]
+    return next(run_trials([(cfg, graph)], graph.n, cfg.t_max, 1, True))[4]
 
 
 def _unit_values(counts: np.ndarray, u: float) -> dict[int, float]:

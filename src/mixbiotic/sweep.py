@@ -16,9 +16,9 @@ the network, the second the simulation. With ``fresh_network=False``
 one network, generated once from the base seed, replaces the per-trial
 networks of every point. ``_run_trials`` runs a contiguous range of
 the (point, trial) order through the simulation's pool, generating each
-network as a row frees up; ``run_sweep`` hands it the whole order or a
-few ranges per worker, and ``run_point`` one point, as ``simulate`` does
-at point index 0 with its ``--graph`` as the fixed network. Trial
+network only when a row is free. ``run_sweep`` hands it the whole order,
+or a few ranges to each of at most ``os.cpu_count()`` processes, and
+``run_point`` point index 0, which ``simulate`` runs. Trial
 measures are averaged per point in trial order, so any grid subset is
 recomputable in isolation, whatever the pool size or worker count.
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -118,8 +119,6 @@ class SweepConfig:
         check_seed(self.base_seed)
         n = graph.n if graph is not None else self.network.n
         SimConfig(g=0.0, d=0.0, t_max=self.t_max, n_0=self.n_0).validate(n)
-        if (self.t_max + 1) * n > 2**28:  # a count history past 2 GiB, the trace loader's cap
-            raise ValueError(f"--tmax {self.t_max} is too large: (t_max + 1) * n passes 2**28 values")
 
     @property
     def model(self) -> str:
@@ -157,33 +156,31 @@ def trial_seeds(base_seed: int, point_index: int, trial_index: int) -> tuple[int
 
 
 def _run_trials(cfg: SweepConfig, mesh: Sequence[tuple[float, float]], graph: Graph | None, start: int,
-                stop: int, offset: int = 0, history: bool = False) -> tuple[list[MeasureSet], np.ndarray | None]:
+                stop: int, history: bool = False) -> tuple[list[MeasureSet], np.ndarray | None]:
     """Measures of trials start..stop-1 of the (point, trial) order, on ``graph`` or on
-    networks from their own seeds, where point p of ``mesh`` has index offset + p; with
-    ``history`` also the count history of the first trial."""
+    networks from their own seeds; with ``history`` also the count history of the first trial."""
     def trials():
         for i in range(start, stop):
             p, trial = divmod(i, cfg.trials)
-            net_seed, sim_seed = trial_seeds(cfg.base_seed, offset + p, trial)
+            net_seed, sim_seed = trial_seeds(cfg.base_seed, p, trial)
             net = graph if graph is not None else generate_network(cfg.network, net_seed)
             yield SimConfig(g=mesh[p][0], d=mesh[p][1], t_max=cfg.t_max, n_0=cfg.n_0, seed=sim_seed), net
 
     n = graph.n if graph is not None else cfg.network.n
     ended = {i: (_measure_set(_transitions(sums, sqs, dots, n), _mean_var), counts) for i, sums, sqs, dots, counts
-             in run_trials(trials(), min(stop - start, pool_rows(n, cfg.t_max)), history)}
+             in run_trials(trials(), n, cfg.t_max, min(stop - start, pool_rows(n, cfg.t_max)), history)}
     return [ended[i][0] for i in range(stop - start)], ended[0][1] if ended else None
 
 
-def run_point(
-    cfg: SweepConfig, g: float, d: float, point_index: int, graph: Graph | None = None, history: bool = False
-) -> tuple[MeasureSet, np.ndarray | None]:
-    """Trial-averaged measures of one mesh point and, with ``history``, the
-    first trial's count history (else None).
+def run_point(cfg: SweepConfig, g: float, d: float, graph: Graph | None = None,
+              history: bool = False) -> tuple[MeasureSet, np.ndarray | None]:
+    """Trial-averaged measures of point index 0 at (g, d) and, with ``history``,
+    the first trial's count history (else None).
 
     Every trial runs on ``graph`` when it is given, and otherwise on a
     network generated from the trial's own seed.
     """
-    per_trial, first = _run_trials(cfg, [(g, d)], graph, 0, cfg.trials, point_index, history)
+    per_trial, first = _run_trials(cfg, [(g, d)], graph, 0, cfg.trials, history)
     return average_measures(per_trial), first
 
 
@@ -207,6 +204,15 @@ def _label(norm_atom: float, norm_mix: float, norm_mob: float, threshold: float)
     return best
 
 
+def worker_count(mesh: Sequence[tuple[float, float]], workers: int) -> int:
+    """The processes a sweep of ``mesh`` runs on: ``workers``, and at most ``os.cpu_count()``."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not mesh:
+        raise ValueError("mesh is empty")
+    return min(workers, os.cpu_count() or 1)
+
+
 def run_sweep(
     cfg: SweepConfig,
     mesh: Sequence[tuple[float, float]],
@@ -214,10 +220,7 @@ def run_sweep(
 ) -> PhaseGrid:
     """Trial-averaged measures, normalization, and phase label per point."""
     cfg.validate()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if not mesh:
-        raise ValueError("mesh is empty")
+    workers = worker_count(mesh, workers)
     graph = None if cfg.fresh_network else generate_network(cfg.network, cfg.base_seed)
     # contiguous ranges of the (point, trial) order, four per worker: trials at high g cost
     # more, and the mesh sorts them last

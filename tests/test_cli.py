@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import mixbiotic.cli as cli
 import mixbiotic.sweep as sweep_module
 from mixbiotic.cli import main
+from mixbiotic.measures import MeasureSet
 
 
 EVENTS = "10 a b\n10 a c\n20 b c\n30 a b\n"
@@ -205,7 +207,8 @@ class TestSweepCommand:
         assert run(["sweep", "--model", "ws", "--n", "20", "--k", "4", "--p", "0.5",
                     "--trials", "1", "--tmax", "2", "--mesh", "grid", "--workers", workers,
                     "--out", out]) == 3
-        assert "workers must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "workers must be >= 1" in err and "config" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("doc,code", [
@@ -277,10 +280,10 @@ class TestRejectedBeforeAnyWork:
         err = capsys.readouterr().err
         assert "--seed must be in" in err and "config" not in err
 
-    @pytest.mark.parametrize("tmax", [2**28 // 20, 10**11])
+    @pytest.mark.parametrize("tmax", [2**28 // 23, 10**11])
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_tmax_past_the_history_cap(self, tmp_path, capsys, command, tmax):
-        # at n = 20, t_max = 2**28 // 20 makes (t_max + 1) * n = 2**28 + 8 history values
+        # at n = 20, t_max = 2**28 // 23 makes (t_max + 1) * (n + 3) = 2**28 + 5 values in a pool row
         assert run([*self.COMMANDS[command], "--tmax", tmax, "--out", tmp_path / "out"]) == 3
         err = capsys.readouterr().err
         assert f"--tmax {tmax} is too large" in err and "config" not in err
@@ -288,7 +291,33 @@ class TestRejectedBeforeAnyWork:
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_tmax_at_the_history_cap_starts_work(self, tmp_path, command):
         with pytest.raises(AssertionError, match="started work"):
-            run([*self.COMMANDS[command], "--tmax", 2**28 // 20 - 1, "--out", tmp_path / "out"])
+            run([*self.COMMANDS[command], "--tmax", 2**28 // 23 - 1, "--out", tmp_path / "out"])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tmax_at_the_history_only_cap_on_a_tiny_graph(self, tmp_path, capsys, n):
+        # (t_max + 1) * n = 2**28 fits a count history alone, not with a row's three series
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"n": n, "edges": []}))
+        assert run(["simulate", "--graph", graph, "--g", "0.5", "--d", "0.3", "--n0", "1",
+                    "--tmax", 2**28 // n - 1, "--out", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert "is too large" in err and "config" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--g", "1.5"), ("--g", "nan"), ("--g", "-0.1"),
+                                             ("--d", "1.5"), ("--d", "nan")])
+    def test_simulate_rate_outside_the_unit_interval(self, tmp_path, capsys, flag, value):
+        argv = [*self.COMMANDS["simulate"], flag, value, "--out", tmp_path / "out"]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "rate must be in [0,1]" in err and "config" not in err
+
+    def test_sweep_empty_mesh_file(self, tmp_path, capsys):
+        mesh = tmp_path / "mesh.json"
+        mesh.write_text("[]")
+        argv = [*self.COMMANDS["sweep"][:-1], f"file:{mesh}", "--out", tmp_path / "out"]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "mesh is empty" in err and "config" not in err
 
     @pytest.mark.parametrize("command, flag", [
         ("gen", "--out"), ("simulate", "--out"), ("simulate", "--measures"),
@@ -583,6 +612,87 @@ class TestGraphLoaderFuzz:
         graph = tmp_path_factory.getbasetemp() / "fuzz_graph"
         graph.write_bytes(data)
         assert run(["stats", "--graph", graph]) in (0, 2, 3)
+
+
+NUMBERS = st.floats() | st.integers() | st.sampled_from([10**400, -(10**400), 2**1024, 2**63])
+MEASURE_FIELDS = [f.name for f in fields(MeasureSet)]
+
+
+@st.composite
+def measure_documents(draw):
+    if draw(st.booleans()):  # valid fields, at most one replaced, so that more documents reach the radar
+        doc = {name: draw(st.integers(0, 10**308) | st.floats(0, allow_infinity=False))
+               for name in MEASURE_FIELDS}
+        doc["delta_count"] = draw(st.integers(0, 10**308))
+        return json.dumps(doc | draw(st.dictionaries(st.sampled_from(MEASURE_FIELDS), NUMBERS | JSON_VALUES,
+                                                     max_size=1)))
+    return json.dumps(draw(st.fixed_dictionaries({}, optional={name: NUMBERS for name in MEASURE_FIELDS})
+                           | JSON_VALUES))
+
+
+class TestMeasureLoaderFuzz:
+    """Any measure-set documents end in a radar or in exit 2 or 3 with a message, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(measure_documents() | st.text(st.characters(blacklist_categories=("Cs",))),
+                          min_size=1, max_size=2))
+    def test_text_measure_sets(self, tmp_path_factory, texts):
+        paths = [tmp_path_factory.getbasetemp() / f"fuzz_measures_{k}" for k in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_text(text, encoding="utf-8")
+        assert run(["radar", *paths]) in (0, 2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(max_size=40))
+    def test_byte_measure_sets(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz_measures"
+        path.write_bytes(data)
+        assert run(["radar", path]) in (0, 2, 3)
+
+
+RATES = st.floats(0, 1) | st.integers(0, 1)
+
+
+@st.composite
+def mesh_documents(draw):
+    points = draw(st.lists(st.lists(RATES, min_size=2, max_size=2), max_size=4))
+    if points and draw(st.booleans()):  # one point replaced, so that half the documents are well formed
+        points[draw(st.integers(0, len(points) - 1))] = draw(st.lists(RATES | NUMBERS | JSON_VALUES, max_size=3)
+                                                              | JSON_VALUES)
+    return json.dumps(points)
+
+
+MESH_SWEEP = ["sweep", "--model", "ws", "--n", "20", "--k", "4", "--p", "0.5", "--trials", "1", "--tmax", "2"]
+
+
+def no_trials(cfg, mesh, graph, start, stop, history=False):
+    """Zero measures for every trial: the sweep runs no simulation."""
+    return [MeasureSet(*[0.0] * (len(MEASURE_FIELDS) - 1), 0)] * (stop - start), None
+
+
+class TestMeshLoaderFuzz:
+    """Any --mesh file ends in a grid or in exit 2 or 3 with a message, never a traceback."""
+
+    def sweep(self, tmp_path_factory, mesh):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep_module, "_run_trials", no_trials)
+            out = tmp_path_factory.getbasetemp() / "fuzz_grid.csv"
+            return run([*MESH_SWEEP, "--mesh", f"file:{mesh}", "--out", out])
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=mesh_documents() | st.builds(json.dumps, JSON_VALUES)
+           | st.text(st.characters(blacklist_categories=("Cs",))))
+    def test_text_meshes(self, tmp_path_factory, text):
+        mesh = tmp_path_factory.getbasetemp() / "fuzz_mesh"
+        mesh.write_text(text, encoding="utf-8")
+        assert self.sweep(tmp_path_factory, mesh) in (0, 2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(max_size=40))
+    def test_byte_meshes(self, tmp_path_factory, data):
+        mesh = tmp_path_factory.getbasetemp() / "fuzz_mesh"
+        mesh.write_bytes(data)
+        assert self.sweep(tmp_path_factory, mesh) in (0, 2, 3)
 
 
 class TestRadar:

@@ -255,7 +255,7 @@ class TestPool:
         graphs = [network() if fresh else fixed for _ in rates]
         configs = [SimConfig(g=g, d=d, t_max=t_max, n_0=data.draw(st.integers(0, n), label="n_0"),
                              seed=seed + i) for i, (g, d) in enumerate(rates)]
-        ended = {i: rest for i, *rest in run_trials(zip(configs, graphs), rows, history=True)}
+        ended = {i: rest for i, *rest in run_trials(zip(configs, graphs), n, t_max, rows, True)}
         assert sorted(ended) == list(range(len(rates)))
         for i, (cfg, graph) in enumerate(zip(configs, graphs)):
             rng = rng_of(cfg.seed)
@@ -274,10 +274,21 @@ class TestPool:
             else:
                 assert kept is None
 
-    @pytest.mark.parametrize("n", [1, 20, 3000, 2**28])
+    @pytest.mark.parametrize("n", [1, 20, 3000, 2**28 - 3])
     def test_one_row_at_the_history_cap(self, n):
-        # the largest t_max that SweepConfig.validate lets through: (t_max + 1) * n <= 2**28
-        assert pool_rows(n, 2**28 // n - 1) == 1
+        # the largest t_max that SimConfig.validate lets through: (t_max + 1) * (n + 3) <= 2**28
+        assert pool_rows(n, 2**28 // (n + 3) - 1) == 1
+
+    def test_reads_a_trial_only_when_a_row_is_free(self):
+        read = []
+
+        def trials():
+            for i in range(5):
+                read.append(i)
+                yield SimConfig(g=0.5, d=0.3, t_max=4, n_0=1, seed=i), PATH3
+
+        next(run_trials(trials(), 3, 4, 2, False))
+        assert read == [0, 1]
 
     def test_simulate_n3000_trials_share_one_pool(self):
         # the benchmark's simulate: n = 3000, --tmax 100, --trials 5

@@ -111,13 +111,36 @@ class TestRunSweep:
         assert [p.measures for p in serial.points] == [p.measures for p in parallel.points]
         assert [p.phase for p in serial.points] == [p.phase for p in parallel.points]
 
+    def test_workers_past_the_cpu_count_are_clamped(self, monkeypatch):
+        started = []
+
+        class SerialPool:  # records the process count and starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
+        mesh = build_mesh(MeshSpec(grid_step=None, extra_points=[(0.5, 0.2), (0.3, 0.6)]))
+        many = run_sweep(SMALL_CFG, mesh, workers=1000)
+        assert started == [3]
+        assert [p.measures for p in many.points] == [p.measures for p in run_sweep(SMALL_CFG, mesh).points]
+
     def test_run_point_keeps_the_first_history_only_when_asked(self):
         # trial 0's history is what run_sim gives on that trial's own network and seed
-        plain, no_history = run_point(SMALL_CFG, 0.5, 0.2, 3)
-        measures, history = run_point(SMALL_CFG, 0.5, 0.2, 3, history=True)
+        plain, no_history = run_point(SMALL_CFG, 0.5, 0.2)
+        measures, history = run_point(SMALL_CFG, 0.5, 0.2, history=True)
         assert no_history is None
         assert plain == measures
-        net_seed, sim_seed = trial_seeds(SMALL_CFG.base_seed, 3, 0)
+        net_seed, sim_seed = trial_seeds(SMALL_CFG.base_seed, 0, 0)
         cfg = SimConfig(g=0.5, d=0.2, t_max=SMALL_CFG.t_max, n_0=SMALL_CFG.n_0, seed=sim_seed)
         assert np.array_equal(history, run_sim(cfg, generate_ws(SMALL_CFG.network, net_seed)))
 
